@@ -4,7 +4,6 @@
 #include <cfloat>
 #include <cmath>
 #include <cstring>
-#include <limits>
 
 #if defined(__AVX2__) && defined(__FMA__)
 #include <immintrin.h>
@@ -622,34 +621,6 @@ void EstimateAll(const QuantizedQuery& query, const RabitqCodeStore& store,
     PrefetchBlockData(store, block + 1);
     EstimateBlock(query, store, block, epsilon0, dist_sq + begin,
                   lower_bounds == nullptr ? nullptr : lower_bounds + begin);
-  }
-}
-
-void EstimateAllMulti(const QuantizedQuery& query,
-                      const RabitqCodeStore& store, float epsilon0,
-                      float* dist_sq, float* lower_bounds) {
-  if (!query.has_exact_luts || !store.finalized()) {
-    for (std::size_t i = 0; i < store.size(); ++i) {
-      const DistanceEstimate est =
-          EstimateDistanceMulti(query, store, i, epsilon0);
-      dist_sq[i] = est.dist_sq;
-      lower_bounds[i] = est.lower_bound_sq;
-    }
-    return;
-  }
-  const FastScanCodes& packed = store.packed();
-  std::uint32_t sums[kFastScanBlockSize];
-  std::uint32_t msums[kFastScanBlockSize];
-  for (std::size_t block = 0; block < packed.num_blocks; ++block) {
-    const std::size_t begin = block * kFastScanBlockSize;
-    PrefetchBlockData(store, block + 1);
-    FastScanAccumulateBlock(packed.BlockPtr(block), packed.num_segments,
-                            query.luts.data(), sums);
-    AccumulateMultiBlockSums(query, store, block, sums, msums);
-    EstimateBlockMultiPruned(query, store, block, msums, epsilon0,
-                             std::numeric_limits<float>::infinity(),
-                             0xFFFFFFFFu, dist_sq + begin,
-                             lower_bounds + begin);
   }
 }
 

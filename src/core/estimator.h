@@ -13,10 +13,13 @@
 // product -<o_r, q_r>, with the halved f_cross doubling as the IP-analogue
 // error half-width. The two exact edge blends (q_dist == 0, d == 0) are
 // L2-only and gated on query.metric identically in every path.
-// Two execution paths:
-//   * single code: B_q bitwise and+popcount passes (Eq. 22),
+// Two ways to compute the same estimate:
 //   * packed batch of 32 codes: the shared fast-scan kernel (Section 3.3.2)
-//     followed by the fused float assembly below.
+//     followed by the fused float assembly below -- the only path the IVF
+//     search scans through, for every re-rank policy;
+//   * single code: B_q bitwise and+popcount passes (Eq. 22) -- the per-code
+//     API (any B_q up to 8) and the oracle the block kernels are tested
+//     against.
 //
 // The assembly consumes the factors precomputed at append time by
 // RabitqCodeStore (f_sq, f_cross, f_inv_oo, f_err), so per lane it is four
@@ -175,23 +178,14 @@ std::uint32_t EstimateBlockMultiPrunedScalar(
 
 /// Software-prefetches block `block`'s packed codes and factor arrays into
 /// cache; no-op past the last block. The block scan loops (EstimateAll, the
-/// IVF fused selection loop) call this one block ahead so the next block's
-/// data streams in while the current block is assembled.
+/// IVF block walk) call this one block ahead so the next block's data
+/// streams in while the current block is assembled.
 void PrefetchBlockData(const RabitqCodeStore& store, std::size_t block);
 
 /// Estimates all codes in `store` through the fast-scan path; `dist_sq`
 /// (and `lower_bounds` if non-null) must hold store.size() floats.
 void EstimateAll(const QuantizedQuery& query, const RabitqCodeStore& store,
                  float epsilon0, float* dist_sq, float* lower_bounds);
-
-/// Multi-bit analogue of EstimateAll: every code estimated from its full
-/// B_d-bit planes, no pruning (+inf threshold, all-lanes candidate mask).
-/// Bit-identical per code to EstimateDistanceMulti. Both output buffers
-/// must be non-null (the block kernel always assembles the bound) and hold
-/// store.size() floats. Requires store.bits_per_dim() > 1.
-void EstimateAllMulti(const QuantizedQuery& query,
-                      const RabitqCodeStore& store, float epsilon0,
-                      float* dist_sq, float* lower_bounds);
 
 }  // namespace rabitq
 

@@ -71,8 +71,7 @@ Status QuantizeRotatedUnit(const float* q_prime, std::size_t b, Rng* rng,
   // Nibble LUTs for the fast-scan batch path: LUT[t][pattern] =
   // sum of qu[4t + bit] over set bits of the pattern. Exact in u8 iff the
   // largest possible entry 4*(2^B_q - 1) fits.
-  const int max_entry = 4 * ((1 << out->query_bits) - 1);
-  out->has_exact_luts = max_entry <= 255;
+  out->has_exact_luts = out->query_bits <= kMaxFastScanQueryBits;
   if (out->has_exact_luts) {
     const std::size_t num_segments = b / 4;
     out->luts.assign(num_segments * 16, 0);

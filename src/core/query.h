@@ -21,6 +21,12 @@
 
 namespace rabitq {
 
+/// Largest B_q whose nibble LUT entries, 4 * (2^B_q - 1), fit losslessly in
+/// u8 -- the fast-scan batch path needs exact LUTs. The IVF index scans only
+/// through that path, so it rejects any configured B_q above this; the
+/// per-code (bitwise) estimators accept B_q up to 8.
+inline constexpr int kMaxFastScanQueryBits = 6;
+
 /// Preprocessed query state relative to one centroid.
 struct QuantizedQuery {
   std::size_t total_bits = 0;   // B
@@ -63,7 +69,7 @@ struct QuantizedQuery {
   AlignedVector<std::uint64_t> bit_planes;
 
   // Batch fast-scan path: B/4 LUTs of 16 u8 entries; exact (lossless) when
-  // 4 * (2^B_q - 1) <= 255, i.e. B_q <= 6. Empty otherwise.
+  // B_q <= kMaxFastScanQueryBits. Empty otherwise.
   AlignedVector<std::uint8_t> luts;
   bool has_exact_luts = false;
 

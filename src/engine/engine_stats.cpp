@@ -1,24 +1,6 @@
 #include "engine/engine_stats.h"
 
-#include <algorithm>
-
 namespace rabitq {
-
-void LatencyHistogram::Record(double micros) {
-  ++buckets_[obs::BucketIndex(micros)];
-  ++count_;
-  max_micros_ = std::max(max_micros_, micros);
-}
-
-double LatencyHistogram::Quantile(double q) const {
-  return obs::BucketQuantile(buckets_, count_, max_micros_, q);
-}
-
-void LatencyHistogram::Reset() {
-  std::fill(buckets_, buckets_ + kNumBuckets, 0);
-  count_ = 0;
-  max_micros_ = 0.0;
-}
 
 EngineStatsCollector::EngineStatsCollector(obs::MetricsRegistry* registry)
     : registry_(registry),

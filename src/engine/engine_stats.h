@@ -51,8 +51,8 @@ struct EngineStatsSnapshot {
   std::uint64_t candidates_reranked = 0;
   std::uint64_t lists_probed = 0;
   std::uint64_t codes_filtered = 0;  // excluded by per-query IdFilters
-  /// Stage-2 multi-bit refinements (bits_per_dim > 1 under kErrorBound);
-  /// 0 on a 1-bit index.
+  /// Multi-bit refinements (see IvfSearchStats::codes_refined); 0 on a
+  /// 1-bit index.
   std::uint64_t codes_refined = 0;
 
   /// Seconds since construction or the last Reset() -- the rate window the
@@ -70,29 +70,6 @@ struct EngineStatsSnapshot {
   /// Mean of 1 - (exact - lower_bound) / |exact| in (0, 1]; how tight the
   /// bound runs (1 = bound hugging the exact score).
   double rerank_bound_tightness_mean = 0.0;
-};
-
-/// Histogram over geometrically spaced latency buckets: bucket i covers
-/// [2^(i/4), 2^((i+1)/4)) microseconds, i.e. ~19% relative resolution, with
-/// 128 buckets reaching ~75 minutes (the obs::Histogram bucket geometry).
-/// Quantiles interpolate linearly WITHIN the reporting bucket and clamp to
-/// the recorded maximum. NOT thread-safe -- this is the single-threaded
-/// value type; the engine's concurrent histograms are obs::Histogram.
-class LatencyHistogram {
- public:
-  static constexpr int kNumBuckets = obs::kNumBuckets;
-
-  void Record(double micros);
-  /// Interpolated quantile in microseconds; q in [0, 1]. 0 when empty.
-  double Quantile(double q) const;
-  double max_micros() const { return max_micros_; }
-  std::uint64_t count() const { return count_; }
-  void Reset();
-
- private:
-  std::uint64_t buckets_[kNumBuckets] = {};
-  std::uint64_t count_ = 0;
-  double max_micros_ = 0.0;
 };
 
 /// Thread-safe collector owned by a SearchEngine: a facade that resolves

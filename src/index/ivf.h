@@ -2,8 +2,8 @@
 // phase KMeans-clusters the raw vectors, normalizes each vector against its
 // cluster centroid (the paper's normalization instantiation), and stores
 // per-cluster RaBitQ code stores. The query phase probes the nprobe nearest
-// clusters, estimates distances from the codes (fast-scan batches by
-// default), and re-ranks with exact distances under one of two policies:
+// clusters, estimates distances from the codes in fast-scan blocks of 32,
+// and re-ranks with exact distances under one of these policies:
 //   * kErrorBound (RaBitQ): re-rank iff the eps0 lower bound beats the
 //     current k-th best exact distance -- the tuning-free rule of Section 4.
 //   * kFixedCandidates (PQ-style): keep the `rerank_candidates` smallest
@@ -66,8 +66,8 @@ struct IvfSearchScratch {
   std::vector<float> norm_query;
   std::vector<float> est_buf;
   std::vector<float> lb_buf;
-  /// Stage-2 lower bounds of the multi-bit refine (bits_per_dim > 1 under
-  /// kErrorBound). Separate from lb_buf because the re-rank walk re-checks
+  /// Stage-2 lower bounds of the multi-bit refine (bits_per_dim > 1).
+  /// Separate from lb_buf because the kErrorBound re-rank walk re-checks
   /// BOTH bounds against the live threshold.
   std::vector<float> mlb_buf;
   std::vector<Neighbor> estimate_pool;
@@ -104,7 +104,10 @@ struct IvfCompactionPlan {
 class IvfRabitqIndex {
  public:
   /// Builds the index: KMeans into num_lists buckets, then RaBitQ-encode
-  /// every vector against its bucket centroid.
+  /// every vector against its bucket centroid. InvalidArgument when
+  /// rabitq_config.query_bits exceeds kMaxFastScanQueryBits (6): the search
+  /// scans only through the fast-scan blocks, whose LUTs are exact up to
+  /// there (Load likewise rejects such a snapshot).
   Status Build(const Matrix& data, const IvfConfig& ivf_config,
                const RabitqConfig& rabitq_config);
 

@@ -233,6 +233,13 @@ Status IvfRabitqIndex::Load(const std::string& path) {
   if (rotator_kind > static_cast<std::uint32_t>(RotatorKind::kIdentity)) {
     return Status::IoError("corrupt rotator kind");
   }
+  // The index scans only through the fast-scan path (B_q <= 6, see
+  // kMaxFastScanQueryBits); Build refuses anything wider, so a wider stored
+  // B_q is corruption.
+  if (query_bits < 1 ||
+      query_bits > static_cast<std::uint32_t>(kMaxFastScanQueryBits)) {
+    return Status::IoError("corrupt query_bits");
+  }
 
   RabitqConfig config;
   // kFht may have rounded the configured width up to a power of two; the

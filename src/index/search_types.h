@@ -9,17 +9,22 @@
 // scores are ascending-is-better under every metric.
 //
 //   SearchRequest  = non-owning query view + SearchOptions
-//   SearchOptions  = k / nprobe / rerank policy / estimator knobs
+//   SearchOptions  = k / nprobe / rerank policy / eps0 override
 //                    + optional per-query seed + per-query IdFilter
+//                    + optional deadline
 //   SearchResponse = Status + neighbors + IvfSearchStats
+//
+// Every policy scans through the same fast-scan block walk; the policy only
+// decides what happens to a block's survivors (exact re-rank under
+// kErrorBound, the estimate pool otherwise).
 //
 // IdFilter is a per-query predicate pushed INTO the scan: the allow/deny
 // decision is folded into the fused kernel's 32-bit survivors mask alongside
 // tombstones (see EstimateBlockFusedPruned's lane_mask), so filtered-out
-// codes never reach exact re-ranking and there is no post-hoc filtering
-// pass. Filtered search is therefore bit-identical to brute force over the
-// allowed subset, for the same reason unfiltered search is bit-identical to
-// brute force over the live set.
+// codes never reach exact re-ranking or the estimate pool and there is no
+// post-hoc filtering pass. Filtered search is therefore bit-identical to
+// brute force over the allowed subset, for the same reason unfiltered
+// search is bit-identical to brute force over the live set.
 
 #ifndef RABITQ_INDEX_SEARCH_TYPES_H_
 #define RABITQ_INDEX_SEARCH_TYPES_H_
@@ -174,9 +179,6 @@ struct SearchOptions {
   std::size_t rerank_candidates = 1000;
   /// Overrides the encoder's eps0 when >= 0 (Fig. 5 sweep).
   float epsilon0_override = -1.0f;
-  /// Use the packed fast-scan batch estimator (true) or the bitwise
-  /// single-code estimator (false).
-  bool use_batch_estimator = true;
   /// Base seed of the randomized query quantization. Unset: the layer
   /// serving the request picks one (the engine derives it from its config
   /// seed and the query's ticket; a bare index uses seed 0). Set: used
@@ -232,10 +234,11 @@ struct IvfSearchStats {
   /// Live candidate codes excluded by the request's IdFilter before
   /// re-ranking (tombstoned entries are not double-counted here).
   std::size_t codes_filtered = 0;
-  /// Stage-2 multi-bit refinements (indexes with bits_per_dim > 1 under
-  /// kErrorBound only): candidates that survived the 1-bit prune and were
-  /// re-estimated from the full B_d-bit code before exact re-ranking.
-  /// Always 0 for 1-bit indexes and for kFixedCandidates/kNone.
+  /// Multi-bit refinements (indexes with bits_per_dim > 1): under
+  /// kErrorBound, candidates that survived the 1-bit prune and were
+  /// re-estimated from the full B_d-bit code before exact re-ranking; under
+  /// kFixedCandidates/kNone, every estimated code (the pool ranks by the
+  /// full width). Always 0 for 1-bit indexes.
   std::size_t codes_refined = 0;
 
   // Estimator-health telemetry, collected at kErrorBound re-rank where the

@@ -8,7 +8,7 @@
 //
 //   offset  size  field
 //        0     4  magic      0x57514252 ("RBQW")
-//        4     2  version    kProtocolVersion (1)
+//        4     2  version    kProtocolVersion (2)
 //        6     2  type       MsgType; responses set kResponseFlag (0x8000)
 //        8     8  request_id echoed verbatim in the response
 //       16     4  body_len   payload bytes that follow (<= kMaxFrameBody)
@@ -44,7 +44,8 @@ namespace rabitq {
 namespace server {
 
 inline constexpr std::uint32_t kFrameMagic = 0x57514252u;  // "RBQW"
-inline constexpr std::uint16_t kProtocolVersion = 1;
+/// Version 2 dropped the search options' estimator-choice byte.
+inline constexpr std::uint16_t kProtocolVersion = 2;
 inline constexpr std::size_t kFrameHeaderSize = 20;
 /// Hard cap on one frame's payload. Large enough for a create_collection
 /// carrying a training set (rows * dim floats); small enough that a
@@ -197,10 +198,9 @@ bool DecodeCollectionSpec(WireReader* r, WireCollectionSpec* spec);
 struct WireSearchOptions {
   std::uint64_t k = 100;
   std::uint64_t nprobe = 16;
-  std::uint8_t policy = 0;  // RerankPolicy
+  std::uint8_t policy = 0;  // RerankPolicy; decode rejects values past kNone
   std::uint64_t rerank_candidates = 1000;
   float epsilon0_override = -1.0f;
-  std::uint8_t use_batch_estimator = 1;
   std::optional<std::uint64_t> seed;
   std::uint64_t timeout_us = 0;
   // Filter: 0 = none, 1 = allow bitmap, 2 = deny bitmap.

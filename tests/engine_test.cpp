@@ -305,22 +305,6 @@ TEST_F(EngineTestFixture, PerQueryErrorsPropagateWithoutPoisoningBatch) {
   ASSERT_EQ(results.size(), 2u);
 }
 
-TEST(EngineTest, LatencyHistogramQuantiles) {
-  LatencyHistogram hist;
-  for (int i = 1; i <= 1000; ++i) hist.Record(static_cast<double>(i));
-  EXPECT_EQ(hist.count(), 1000u);
-  EXPECT_EQ(hist.max_micros(), 1000.0);
-  // Log-bucketed quantiles carry <= ~19% bucket error plus the bucket-edge
-  // overestimate; accept a generous band around the exact quantiles.
-  EXPECT_GT(hist.Quantile(0.5), 350.0);
-  EXPECT_LT(hist.Quantile(0.5), 800.0);
-  EXPECT_GT(hist.Quantile(0.99), 800.0);
-  EXPECT_LE(hist.Quantile(0.99), 1000.0);
-  // Degenerate q resolves to the first occupied bucket's upper edge.
-  EXPECT_GE(hist.Quantile(0.0), 1.0);
-  EXPECT_LE(hist.Quantile(0.0), 2.0);
-}
-
 TEST(EngineTest, QuerySeedStreamIsStable) {
   // The parity contract freezes the derivation: same (base, ticket) ->
   // same seed, distinct tickets -> distinct seeds.

@@ -1,12 +1,10 @@
 // Filtered search: the per-query IdFilter pushed down into candidate
-// selection (the fused kernel's survivors mask, and the identical checks in
-// the bitwise / scalar fallbacks).
+// selection (the fused kernel's survivors mask, under every policy).
 //   * brute-force-oracle equality across selectivities {0%, 1%, 50%, 99%,
 //     100%} -- filtered results are EXACTLY the top-k of the allowed
 //     subset, with codes_filtered accounting for every live excluded code;
 //   * filter x tombstone interaction (neither double-counts the other);
 //   * fused-vs-scalar survivors-mask bit-parity under random lane masks;
-//   * fused-vs-bitwise estimator parity under a filter;
 //   * sharded and engine parity with per-shard filter slicing (a GLOBAL-id
 //     filter consulted through each shard's local->global map);
 //   * predicate / allow-bitmap / deny-bitmap agreement and the
@@ -204,8 +202,8 @@ TEST_F(FilteredSearchTest, FilterTombstoneInteraction) {
 
 TEST_F(FilteredSearchTest, PredicateNeverSeesTombstonedIds) {
   // The IdFilter contract: predicates run only on LIVE candidate ids, so a
-  // caller may key them off live-only metadata. Pinned for the fused path
-  // (per-block mask) and the bitwise fallback alike.
+  // caller may key them off live-only metadata. Pinned for every policy
+  // (each builds the same per-block mask).
   for (std::uint32_t id = 0; id < kN; id += 4) {
     ASSERT_TRUE(index_.Delete(id).ok());
   }
@@ -218,41 +216,14 @@ TEST_F(FilteredSearchTest, PredicateNeverSeesTombstonedIds) {
     if (c->index->IsDeleted(id)) ++c->dead_seen;
     return id % 2 == 0;
   };
-  for (const bool batch_estimator : {true, false}) {
-    SearchRequest request{queries_.Row(0), ExhaustiveOptions(12)};
-    request.options.use_batch_estimator = batch_estimator;
-    request.options.filter = IdFilter::FromPredicate(pred, &ctx);
-    ASSERT_TRUE(index_.Search(request).ok());
-    EXPECT_EQ(ctx.dead_seen, 0u) << "batch_estimator=" << batch_estimator;
-  }
-}
-
-TEST_F(FilteredSearchTest, FusedAndBitwiseEstimatorsAgreeUnderFilter) {
-  std::size_t allowed = 0;
-  const auto bits = RandomBitmap(kN, 0.5, 999, &allowed);
   for (const RerankPolicy policy :
        {RerankPolicy::kErrorBound, RerankPolicy::kFixedCandidates,
         RerankPolicy::kNone}) {
-    for (std::size_t q = 0; q < queries_.rows(); ++q) {
-      SearchRequest request{queries_.Row(q), ExhaustiveOptions(555 + q)};
-      request.options.policy = policy;
-      request.options.rerank_candidates = 64;
-      // Paper eps0: in-kernel lower-bound pruning stays LIVE here -- this
-      // pins fused-vs-bitwise parity with filter, pruning and re-ranking
-      // all interacting, not just the never-prune oracle setting.
-      request.options.epsilon0_override = -1.0f;
-      request.options.filter = IdFilter::AllowBitmap(bits.data(), kN);
-      SearchRequest bitwise = request;
-      bitwise.options.use_batch_estimator = false;
-      const SearchResponse a = index_.Search(request);
-      const SearchResponse b = index_.Search(bitwise);
-      ASSERT_TRUE(a.ok() && b.ok());
-      EXPECT_EQ(a.neighbors, b.neighbors);
-      EXPECT_EQ(a.stats.codes_filtered, b.stats.codes_filtered);
-      for (const Neighbor& nb : a.neighbors) {
-        EXPECT_TRUE(BitSet(bits, nb.second));
-      }
-    }
+    SearchRequest request{queries_.Row(0), ExhaustiveOptions(12)};
+    request.options.policy = policy;
+    request.options.filter = IdFilter::FromPredicate(pred, &ctx);
+    ASSERT_TRUE(index_.Search(request).ok());
+    EXPECT_EQ(ctx.dead_seen, 0u) << "policy " << static_cast<int>(policy);
   }
 }
 

@@ -3,9 +3,9 @@
 //     its scalar reference across dims, code widths, non-multiple-of-8/32
 //     tails, the B_q sweep, and the dist_to_centroid == 0 / q_dist == 0
 //     edge cases;
-//   * the in-kernel pruning variant returns exactly the survivors the
-//     un-fused per-entry loop would have re-ranked (tombstone masks, tail
-//     lanes, threshold semantics included);
+//   * the in-kernel pruning variant returns exactly the survivors of the
+//     per-lane rule "real, live lane with !(lb > threshold)" (tombstone
+//     masks, tail lanes, threshold semantics included);
 //   * the per-code factors (f_sq/f_cross/f_inv_oo/f_err) computed at append
 //     time survive every code-creation path bit-for-bit: FinalizeAppend,
 //     CompactInto, and snapshot Load (v1 golden file and a v2 round trip --
@@ -241,7 +241,7 @@ TEST(FusedEstimatorTest, PrunedVariantMatchesScalarAndUnfusedSelection) {
               qq, w.store, block, sums, 1.9f, thr, dptr, sd, slb);
           ASSERT_EQ(fused_mask, scalar_mask)
               << "block " << block << " thr " << thr;
-          // The mask is exactly the set the un-fused loop would re-rank.
+          // The mask is exactly the per-lane rule's survivor set.
           for (std::size_t k = 0; k < kFastScanBlockSize; ++k) {
             const bool expect_survive =
                 k < count && !(use_dead && dead[begin + k]) &&
@@ -262,8 +262,9 @@ TEST(FusedEstimatorTest, PrunedVariantMatchesScalarAndUnfusedSelection) {
 TEST(FusedEstimatorTest, InfiniteLowerBoundSurvivesInfinityThreshold) {
   // A dist_to_centroid large enough that f_sq = d^2 overflows makes the
   // whole estimate (and lower bound) +inf. The no-prune sentinel is
-  // +infinity, under which such lanes must SURVIVE (the un-fused loop
-  // re-ranks them while the heap is filling); a finite threshold prunes
+  // +infinity, under which such lanes must SURVIVE (a filling heap
+  // re-ranks them, the estimate-only policies pool them); a finite
+  // threshold prunes
   // them like any other too-distant candidate.
   RabitqEncoder enc;
   RabitqConfig config;
@@ -294,8 +295,8 @@ TEST(FusedEstimatorTest, InfiniteLowerBoundSurvivesInfinityThreshold) {
       qq, store, 0, sums, 1.9f, std::numeric_limits<float>::infinity(),
       nullptr, d, lb);
   // The overflowed lane's bound is non-finite (+inf, or NaN when the fma
-  // collapses inf - inf); either way the un-fused loop would re-rank it
-  // while the heap is filling, so the +inf sentinel must keep it.
+  // collapses inf - inf); either way a filling heap must re-rank it, so
+  // the +inf sentinel must keep it.
   EXPECT_FALSE(std::isfinite(lb[8]));
   EXPECT_EQ(all, (1u << store.size()) - 1u)
       << "+inf sentinel must not prune any lane, non-finite bounds included";

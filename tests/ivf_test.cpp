@@ -1,6 +1,6 @@
 // Tests for the IVF-RaBitQ index: construction invariants, recall with the
 // error-bound re-ranking policy (Section 4), policy comparisons, stats, and
-// the batch/single estimator toggle.
+// the B_q bound the fast-scan-only search imposes at build time.
 
 #include <gtest/gtest.h>
 
@@ -150,30 +150,6 @@ TEST_F(IvfTestFixture, ErrorBoundPrunesMostCandidates) {
   EXPECT_GE(stats.candidates_reranked, params.k);
 }
 
-TEST_F(IvfTestFixture, SingleAndBatchEstimatorsGiveSameResults) {
-  IvfSearchParams batch_params;
-  batch_params.k = 10;
-  batch_params.nprobe = 8;
-  IvfSearchParams single_params = batch_params;
-  single_params.use_batch_estimator = false;
-  for (std::size_t q = 0; q < 5; ++q) {
-    // Same rng seed -> identical randomized query quantization.
-    Rng rng_a(100 + q), rng_b(100 + q);
-    std::vector<Neighbor> batch_result, single_result;
-    ASSERT_TRUE(
-        index_.Search(queries_.Row(q), batch_params, &rng_a, &batch_result)
-            .ok());
-    ASSERT_TRUE(
-        index_.Search(queries_.Row(q), single_params, &rng_b, &single_result)
-            .ok());
-    ASSERT_EQ(batch_result.size(), single_result.size());
-    for (std::size_t i = 0; i < batch_result.size(); ++i) {
-      EXPECT_EQ(batch_result[i].second, single_result[i].second);
-      EXPECT_FLOAT_EQ(batch_result[i].first, single_result[i].first);
-    }
-  }
-}
-
 TEST_F(IvfTestFixture, FixedCandidatePolicyWorksAndObeysBudget) {
   Rng rng(4);
   IvfSearchParams params;
@@ -245,6 +221,43 @@ TEST(IvfTest, RejectsBadArguments) {
   params.k = 5;
   EXPECT_FALSE(index.Search(data.Row(0), params, nullptr, &out).ok());
   EXPECT_FALSE(index.Search(data.Row(0), params, &rng, nullptr).ok());
+}
+
+// The index scans only through the fast-scan blocks, whose u8 LUTs are
+// exact up to B_q = 6: a wider query quantization is refused at build time
+// (through Build and BuildFromClustering alike) instead of silently taking
+// a slower or lossy path.
+TEST(IvfTest, BuildRejectsQueryBitsAboveSix) {
+  Matrix data = ClusteredData(100, 16, 4, 1);
+  IvfConfig ivf;
+  ivf.num_lists = 4;
+  for (const int bits : {7, 8}) {
+    RabitqConfig rabitq;
+    rabitq.query_bits = bits;
+    IvfRabitqIndex index;
+    EXPECT_EQ(index.Build(data, ivf, rabitq).code(),
+              StatusCode::kInvalidArgument)
+        << "query_bits " << bits;
+    Matrix centroids(1, 16);
+    const std::vector<std::uint32_t> assignments(data.rows(), 0);
+    EXPECT_EQ(index
+                  .BuildFromClustering(data, std::move(centroids),
+                                       assignments.data(), rabitq)
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << "query_bits " << bits;
+  }
+  RabitqConfig widest;
+  widest.query_bits = kMaxFastScanQueryBits;
+  IvfRabitqIndex index;
+  ASSERT_TRUE(index.Build(data, ivf, widest).ok());
+  IvfSearchParams params;
+  params.k = 3;
+  params.nprobe = index.num_lists();
+  std::vector<Neighbor> out;
+  ASSERT_TRUE(index.Search(data.Row(0), params, std::uint64_t{1}, &out).ok());
+  ASSERT_FALSE(out.empty());
+  EXPECT_EQ(out[0].second, 0u);
 }
 
 TEST(IvfTest, MoreListsThanPointsClamps) {

@@ -11,9 +11,11 @@
 //     (reconstruction is unit-norm, m_o_o = <x-bar, o'>, the Eq. 16
 //     half-width shrinks as the grid refines);
 //   * the two-stage kErrorBound scan is element-identical to the brute-force
-//     oracle at every width under kL2 and kInnerProduct, on both estimator
-//     paths, and the batch/non-batch paths agree away from exhaustive
-//     settings too;
+//     oracle at every width under kL2 and kInnerProduct;
+//   * at partial probe, with tombstones and an allow-bitmap, under every
+//     metric and width, the block walk reproduces a per-code replay of the
+//     probed lists: kNone/kFixedCandidates bit-for-bit from the per-code
+//     estimates, kErrorBound (never-prune eps0) as brute force;
 //   * the multi-bit payload survives snapshot v4, Add/Delete/compaction, and
 //     sharded + engine serving (including the codes_refined telemetry).
 
@@ -35,6 +37,7 @@
 #include "index/brute_force.h"
 #include "index/ivf.h"
 #include "index/sharded.h"
+#include "linalg/vector_ops.h"
 #include "quant/fastscan.h"
 #include "util/bit_ops.h"
 #include "util/prng.h"
@@ -370,8 +373,8 @@ class MultibitSearchTest : public ::testing::Test {
 
 // The tentpole acceptance criterion: the two-stage kErrorBound scan is
 // element-identical to the brute-force oracle at every width, under kL2 and
-// kInnerProduct, on both estimator paths -- and the codes_refined telemetry
-// fires exactly when a second stage exists.
+// kInnerProduct -- and the codes_refined telemetry fires exactly when a
+// second stage exists.
 TEST_F(MultibitSearchTest, TwoStageScanMatchesOracleAcrossWidths) {
   for (const Metric metric : {Metric::kL2, Metric::kInnerProduct}) {
     for (const std::size_t bits :
@@ -381,74 +384,172 @@ TEST_F(MultibitSearchTest, TwoStageScanMatchesOracleAcrossWidths) {
       for (std::size_t q = 0; q < kNumQueries; ++q) {
         const std::vector<Neighbor> oracle =
             OracleAllowed(data_, queries_.Row(q), kK, metric, {});
-        for (const bool batch : {true, false}) {
-          IvfSearchParams params = ExhaustiveParams();
-          params.use_batch_estimator = batch;
-          std::vector<Neighbor> got;
-          IvfSearchStats stats;
-          ASSERT_TRUE(
-              index.Search(queries_.Row(q), params, 600 + q, &got, &stats)
-                  .ok());
-          const std::string label = std::string(MetricName(metric)) + " B" +
-                                    std::to_string(bits) +
-                                    (batch ? " batch" : " scalar") + " q" +
-                                    std::to_string(q);
-          ExpectSameNeighbors(oracle, got, label);
-          if (bits > 1) {
-            EXPECT_GT(stats.codes_refined, 0u) << label;
-          } else {
-            EXPECT_EQ(stats.codes_refined, 0u) << label;
-          }
+        std::vector<Neighbor> got;
+        IvfSearchStats stats;
+        ASSERT_TRUE(index
+                        .Search(queries_.Row(q), ExhaustiveParams(), 600 + q,
+                                &got, &stats)
+                        .ok());
+        const std::string label = std::string(MetricName(metric)) + " B" +
+                                  std::to_string(bits) + " q" +
+                                  std::to_string(q);
+        ExpectSameNeighbors(oracle, got, label);
+        if (bits > 1) {
+          EXPECT_GT(stats.codes_refined, 0u) << label;
+        } else {
+          EXPECT_EQ(stats.codes_refined, 0u) << label;
         }
       }
     }
   }
 }
 
-// Away from exhaustive settings the batch and non-batch paths still return
-// identical results at every width (the snapshot-threshold pruning of the
-// fused stage-2 kernel is consistent with the walk's live recheck), and the
-// estimate-only policies rank by the full-width estimate on both paths.
-TEST_F(MultibitSearchTest, BatchAndNonBatchAgreeAtPartialProbe) {
-  for (const std::size_t bits : kWidths) {
-    const IvfRabitqIndex index = BuildSingle(Metric::kL2, bits);
-    IvfSearchParams batch;
-    batch.k = kK;
-    batch.nprobe = 4;
-    batch.policy = RerankPolicy::kErrorBound;
-    IvfSearchParams scalar = batch;
-    scalar.use_batch_estimator = false;
-    for (std::size_t q = 0; q < kNumQueries; ++q) {
-      std::vector<Neighbor> batch_out, scalar_out;
-      ASSERT_TRUE(
-          index.Search(queries_.Row(q), batch, 700 + q, &batch_out).ok());
-      ASSERT_TRUE(
-          index.Search(queries_.Row(q), scalar, 700 + q, &scalar_out).ok());
-      ExpectSameNeighbors(scalar_out, batch_out,
-                          "partial-probe B" + std::to_string(bits));
+// One live, allowed code of a probed list as the per-code path sees it.
+struct ReplayedCode {
+  float estimate;  // EstimateDistance (B = 1) / EstimateDistanceMulti
+  float exact;     // MetricDistance against the stored vector
+  std::uint32_t id;
+};
+
+// Test-side replay of the probed part of one search, through the per-code
+// estimators instead of the block kernels: the query is normalized (cosine),
+// rotated and quantized per probed list exactly as SearchWithScratch does it
+// (PrepareQueryFromRotated seeded by MixSeed(seed, list_id)). Tombstones
+// come from Delete only, so a dead entry is exactly a deleted id.
+void ReplayProbedLists(const IvfRabitqIndex& index, const float* raw_query,
+                       std::size_t nprobe, std::uint64_t seed,
+                       const std::vector<bool>& allowed,
+                       std::vector<ReplayedCode>* out,
+                       std::size_t* live_disallowed) {
+  const Metric metric = index.metric();
+  const std::size_t dim = index.dim();
+  const RabitqEncoder& encoder = index.encoder();
+  std::vector<float> query(raw_query, raw_query + dim);
+  if (metric == Metric::kCosine) NormalizeInPlace(query.data(), dim);
+  const float query_norm_sq =
+      metric == Metric::kL2 ? 0.0f : SquaredNorm(query.data(), dim);
+  std::vector<float> rotated(encoder.total_bits());
+  RotateQueryOnce(encoder, query.data(), rotated.data());
+  std::vector<std::pair<float, std::uint32_t>> order;
+  index.ProbeOrderInto(query.data(), nprobe, &order);
+  out->clear();
+  *live_disallowed = 0;
+  QuantizedQuery qq;
+  for (std::size_t p = 0; p < std::min(nprobe, order.size()); ++p) {
+    const std::uint32_t list_id = order[p].second;
+    const std::vector<std::uint32_t>& ids = index.list_ids(list_id);
+    if (ids.empty()) continue;
+    const float q_dist =
+        metric == Metric::kL2
+            ? std::sqrt(std::max(0.0f, order[p].first))
+            : std::sqrt(std::max(
+                  0.0f, L2SqrDistance(query.data(),
+                                      index.centroids().Row(list_id), dim)));
+    Rng list_rng(MixSeed(seed, list_id));
+    ASSERT_TRUE(PrepareQueryFromRotated(
+                    encoder, rotated.data(),
+                    index.rotated_centroids().Row(list_id), q_dist, &list_rng,
+                    &qq, /*query_bits_override=*/0, metric, query_norm_sq)
+                    .ok());
+    const RabitqCodeStore& codes = index.list_codes(list_id);
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      if (index.IsDeleted(ids[i])) continue;
+      if (!allowed[ids[i]]) {
+        ++*live_disallowed;
+        continue;
+      }
+      const float eps0 = encoder.config().epsilon0;
+      const DistanceEstimate est =
+          codes.bits_per_dim() > 1
+              ? EstimateDistanceMulti(qq, codes, i, eps0)
+              : EstimateDistance(qq, codes.View(i), eps0);
+      out->push_back({est.dist_sq,
+                      MetricDistance(metric, index.vector(ids[i]),
+                                     query.data(), dim),
+                      ids[i]});
     }
-    // kFixedCandidates / kNone rank their pools by the full B_d-bit
-    // estimate (every scanned code is refined -- the estimate must stand
-    // in for the exact distance there), and batch / non-batch still agree.
-    for (const RerankPolicy policy :
-         {RerankPolicy::kFixedCandidates, RerankPolicy::kNone}) {
-      IvfSearchParams params = batch;
-      params.policy = policy;
-      params.rerank_candidates = 40;
-      IvfSearchParams params_scalar = params;
-      params_scalar.use_batch_estimator = false;
+  }
+}
+
+// The smallest k (key, id) pairs, ascending -- TopKHeap's tie order.
+std::vector<Neighbor> SmallestK(std::vector<Neighbor> pool, std::size_t k) {
+  std::sort(pool.begin(), pool.end());
+  pool.resize(std::min(k, pool.size()));
+  return pool;
+}
+
+// The two oracles of the single block walk, at every width and metric,
+// with tombstones and an allow-bitmap, at partial probe:
+//   * kNone returns exactly the per-code top-k by estimate, and
+//     kFixedCandidates exactly the exact top-k of the per-code top-R -- so
+//     the pool holds precisely the live, allowed codes with bit-identical
+//     estimates (full-width ones on a multi-bit index);
+//   * kErrorBound with a never-prune eps0 returns exactly the brute-force
+//     top-k over the probed lists' live, allowed codes.
+TEST_F(MultibitSearchTest, PartialProbeMatchesPerCodeReplay) {
+  constexpr std::size_t kProbe = 4;
+  constexpr std::size_t kBudget = 40;
+  Rng pick(57);
+  std::vector<bool> allowed(kN);
+  std::vector<std::uint64_t> bitmap((kN + 63) / 64, 0);
+  for (std::size_t id = 0; id < kN; ++id) {
+    allowed[id] = pick.UniformInt(3) != 0;  // ~2/3 allowed
+    if (allowed[id]) bitmap[id / 64] |= std::uint64_t{1} << (id % 64);
+  }
+  for (const Metric metric :
+       {Metric::kL2, Metric::kInnerProduct, Metric::kCosine}) {
+    for (const std::size_t bits :
+         {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
+      IvfRabitqIndex index = BuildSingle(metric, bits);
+      for (std::uint32_t id = 3; id < kN; id += 7) {
+        ASSERT_TRUE(index.Delete(id).ok());
+      }
+      const std::string label = std::string(MetricName(metric)) + " B" +
+                                std::to_string(bits);
       for (std::size_t q = 0; q < kNumQueries; ++q) {
-        std::vector<Neighbor> batch_out, scalar_out;
-        IvfSearchStats stats;
-        ASSERT_TRUE(
-            index.Search(queries_.Row(q), params, 711 + q, &batch_out, &stats)
-                .ok());
-        ASSERT_TRUE(index.Search(queries_.Row(q), params_scalar, 711 + q,
-                                 &scalar_out)
-                        .ok());
-        ExpectSameNeighbors(scalar_out, batch_out,
-                            "pool policy B" + std::to_string(bits));
-        EXPECT_EQ(stats.codes_refined, stats.codes_estimated);
+        const std::uint64_t seed = 711 + q;
+        std::vector<ReplayedCode> codes;
+        std::size_t live_disallowed = 0;
+        ReplayProbedLists(index, queries_.Row(q), kProbe, seed, allowed,
+                          &codes, &live_disallowed);
+        std::vector<Neighbor> by_estimate, by_exact;
+        for (const ReplayedCode& c : codes) {
+          by_estimate.emplace_back(c.estimate, c.id);
+          by_exact.emplace_back(c.exact, c.id);
+        }
+        std::vector<Neighbor> fixed_pool;
+        for (const Neighbor& nb : SmallestK(by_estimate, kBudget)) {
+          for (const ReplayedCode& c : codes) {
+            if (c.id == nb.second) fixed_pool.emplace_back(c.exact, c.id);
+          }
+        }
+        const struct {
+          RerankPolicy policy;
+          std::vector<Neighbor> want;
+        } cases[] = {
+            {RerankPolicy::kNone, SmallestK(by_estimate, kK)},
+            {RerankPolicy::kFixedCandidates, SmallestK(fixed_pool, kK)},
+            {RerankPolicy::kErrorBound, SmallestK(by_exact, kK)},
+        };
+        for (const auto& c : cases) {
+          IvfSearchParams params = ExhaustiveParams();
+          params.nprobe = kProbe;
+          params.policy = c.policy;
+          params.rerank_candidates = kBudget;
+          params.filter = IdFilter::AllowBitmap(bitmap.data(), kN);
+          std::vector<Neighbor> got;
+          IvfSearchStats stats;
+          ASSERT_TRUE(
+              index.Search(queries_.Row(q), params, seed, &got, &stats).ok());
+          ExpectSameNeighbors(c.want, got,
+                              label + " policy " +
+                                  std::to_string(static_cast<int>(c.policy)) +
+                                  " q" + std::to_string(q));
+          EXPECT_EQ(stats.codes_filtered, live_disallowed) << label;
+          if (bits > 1 && c.policy != RerankPolicy::kErrorBound) {
+            EXPECT_EQ(stats.codes_refined, stats.codes_estimated) << label;
+          }
+        }
       }
     }
   }
@@ -492,14 +593,11 @@ TEST_F(MultibitSearchTest, SnapshotV4RoundTripsMultiBitPayload) {
     }
   }
   for (std::size_t q = 0; q < kNumQueries; ++q) {
-    for (const bool batch : {true, false}) {
-      IvfSearchParams params = ExhaustiveParams();
-      params.use_batch_estimator = batch;
-      std::vector<Neighbor> want, got;
-      ASSERT_TRUE(index.Search(queries_.Row(q), params, 800 + q, &want).ok());
-      ASSERT_TRUE(loaded.Search(queries_.Row(q), params, 800 + q, &got).ok());
-      ExpectSameNeighbors(want, got, "v4 round trip");
-    }
+    const IvfSearchParams params = ExhaustiveParams();
+    std::vector<Neighbor> want, got;
+    ASSERT_TRUE(index.Search(queries_.Row(q), params, 800 + q, &want).ok());
+    ASSERT_TRUE(loaded.Search(queries_.Row(q), params, 800 + q, &got).ok());
+    ExpectSameNeighbors(want, got, "v4 round trip");
   }
   std::filesystem::remove(path);
 }
@@ -535,13 +633,10 @@ TEST_F(MultibitSearchTest, LifecycleKeepsMultiBitPayloadConsistent) {
   for (std::size_t q = 0; q < kNumQueries; ++q) {
     const std::vector<Neighbor> oracle =
         OracleAllowed(all, queries_.Row(q), kK, Metric::kL2, allowed);
-    for (const bool batch : {true, false}) {
-      IvfSearchParams params = ExhaustiveParams();
-      params.use_batch_estimator = batch;
-      std::vector<Neighbor> got;
-      ASSERT_TRUE(index.Search(queries_.Row(q), params, 900 + q, &got).ok());
-      ExpectSameNeighbors(oracle, got, "lifecycle B4");
-    }
+    std::vector<Neighbor> got;
+    ASSERT_TRUE(
+        index.Search(queries_.Row(q), ExhaustiveParams(), 900 + q, &got).ok());
+    ExpectSameNeighbors(oracle, got, "lifecycle B4");
   }
 }
 

@@ -11,7 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "engine/engine_stats.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -130,22 +129,6 @@ TEST(ObsBucketTest, UniformMedianIsAccurate) {
   // Interpolation keeps the error well under the 19% bucket width; the old
   // upper-edge rule would sit at the far edge of the median's bucket.
   EXPECT_NEAR(p50, 500.0, 0.05 * 500.0);
-}
-
-// The engine-side value type shares the same layout and interpolation.
-TEST(ObsBucketTest, LatencyHistogramMatchesObsQuantiles) {
-  LatencyHistogram latency;
-  Histogram hist;
-  for (int v = 1; v <= 100; ++v) {
-    latency.Record(static_cast<double>(v));
-    hist.Record(static_cast<double>(v));
-  }
-  const HistogramSnapshot snap = hist.Snapshot();
-  for (const double q : {0.0, 0.25, 0.5, 0.9, 0.99, 1.0}) {
-    EXPECT_DOUBLE_EQ(latency.Quantile(q), snap.Quantile(q)) << "q=" << q;
-  }
-  EXPECT_EQ(latency.count(), 100u);
-  EXPECT_DOUBLE_EQ(latency.max_micros(), 100.0);
 }
 
 // --------------------------------------------------------------- histogram

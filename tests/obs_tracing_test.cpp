@@ -193,8 +193,8 @@ TEST_F(ObsTracingTest, SampledSubsetIsDeterministicAcrossRuns) {
 
 // Estimator-health cross-check: serve a workload where EVERY live candidate
 // is re-ranked (k > N, so the exact heap never fills and the bound check
-// never prunes; the scalar estimator keeps the offline math identical),
-// then replicate the per-candidate accumulation offline exactly like
+// never prunes; the block kernels are bit-identical to the per-code
+// EstimateDistance used offline), then replicate the per-candidate accumulation offline exactly like
 // error_bound_property_test replicates the bound math. Runs under kL2 AND
 // kInnerProduct: negative IP scores are where the tightness gauge used to
 // flip direction (dividing the lower bound by a signed exact), so the IP
@@ -208,7 +208,6 @@ TEST_F(ObsTracingTest, HealthTelemetryMatchesOfflineReplication) {
     IvfSearchParams params;
     params.k = kN + 10;
     params.nprobe = kNumLists;
-    params.use_batch_estimator = false;  // scalar estimates, replicable below
 
     RunBatch(&engine, params);
     const EngineStatsSnapshot stats = engine.Stats();

@@ -66,30 +66,26 @@ class SearchApiTest : public ::testing::Test {
 };
 
 TEST_F(SearchApiTest, SeededOverloadMatchesRequestApiBitIdentically) {
-  for (const bool batch_estimator : {true, false}) {
-    for (std::size_t q = 0; q < queries_.rows(); ++q) {
-      const std::uint64_t seed = 1234 + q;
-      SearchOptions options = Options();
-      options.use_batch_estimator = batch_estimator;
+  for (std::size_t q = 0; q < queries_.rows(); ++q) {
+    const std::uint64_t seed = 1234 + q;
+    const SearchOptions options = Options();
 
-      std::vector<Neighbor> old_result;
-      IvfSearchStats old_stats;
-      ASSERT_TRUE(index_
-                      .Search(queries_.Row(q), options, seed, &old_result,
-                              &old_stats)
-                      .ok());
+    std::vector<Neighbor> old_result;
+    IvfSearchStats old_stats;
+    ASSERT_TRUE(
+        index_.Search(queries_.Row(q), options, seed, &old_result, &old_stats)
+            .ok());
 
-      SearchRequest request{queries_.Row(q), options};
-      request.options.seed = seed;
-      const SearchResponse response = index_.Search(request);
-      ASSERT_TRUE(response.ok());
-      EXPECT_EQ(response.neighbors, old_result);
-      EXPECT_EQ(response.stats.codes_estimated, old_stats.codes_estimated);
-      EXPECT_EQ(response.stats.candidates_reranked,
-                old_stats.candidates_reranked);
-      EXPECT_EQ(response.stats.lists_probed, old_stats.lists_probed);
-      EXPECT_EQ(response.stats.codes_filtered, old_stats.codes_filtered);
-    }
+    SearchRequest request{queries_.Row(q), options};
+    request.options.seed = seed;
+    const SearchResponse response = index_.Search(request);
+    ASSERT_TRUE(response.ok());
+    EXPECT_EQ(response.neighbors, old_result);
+    EXPECT_EQ(response.stats.codes_estimated, old_stats.codes_estimated);
+    EXPECT_EQ(response.stats.candidates_reranked,
+              old_stats.candidates_reranked);
+    EXPECT_EQ(response.stats.lists_probed, old_stats.lists_probed);
+    EXPECT_EQ(response.stats.codes_filtered, old_stats.codes_filtered);
   }
 }
 

@@ -236,6 +236,38 @@ TEST_F(ServerFuzzTest, MalformedBodiesGetInvalidArgumentWithoutDropping) {
     ++request_id;
   }
 
+  // A well-formed search whose only defect is its policy byte: past kNone
+  // the body is malformed (InvalidArgument), never silently served under
+  // another policy. kNone itself decodes and reaches the collection lookup.
+  for (const std::uint8_t policy :
+       {std::uint8_t{2}, std::uint8_t{3}, std::uint8_t{255}}) {
+    std::string body;
+    WireWriter w(&body);
+    w.String("no_such_collection");
+    WireSearchOptions options;
+    options.policy = policy;
+    EncodeSearchOptions(options, &w);
+    const float query = 0.0f;
+    w.U32(1);
+    w.Floats(&query, 1);
+    std::string frame;
+    EncodeFrame(static_cast<std::uint16_t>(MsgType::kSearch), request_id,
+                body, &frame);
+    ASSERT_TRUE(WriteFull(socket.fd(), frame.data(), frame.size()).ok());
+    FrameHeader header;
+    std::vector<std::uint8_t> response;
+    ASSERT_TRUE(ReadResponseFrame(socket.fd(), &header, &response))
+        << "policy " << int{policy} << " dropped the connection";
+    WireReader r(response.data(), response.size());
+    WireStatus status;
+    ASSERT_TRUE(DecodeStatus(&r, &status));
+    EXPECT_EQ(status.ToStatus().code(), policy <= 2
+                                            ? StatusCode::kNotFound
+                                            : StatusCode::kInvalidArgument)
+        << "policy " << int{policy};
+    ++request_id;
+  }
+
   // Unknown message types are likewise answered, not dropped.
   std::string frame;
   EncodeFrame(/*type=*/999, request_id, std::string(), &frame);

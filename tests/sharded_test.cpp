@@ -123,22 +123,19 @@ class ShardedTest : public ::testing::Test {
 // The tentpole acceptance criterion: under shared clustering, scatter-gather
 // search over any shard count returns BIT-IDENTICAL results to the plain
 // single-shard index -- same ids, same distances -- for every re-rank
-// policy, both estimator paths, duplicate-distance ties included.
+// policy, duplicate-distance ties included.
 TEST_F(ShardedTest, MatchesSingleShardBitIdenticallyAllPolicies) {
   const IvfRabitqIndex single = BuildSingle(data_);
   std::vector<IvfSearchParams> param_sets;
   for (const RerankPolicy policy :
        {RerankPolicy::kErrorBound, RerankPolicy::kFixedCandidates,
         RerankPolicy::kNone}) {
-    for (const bool batch : {true, false}) {
-      IvfSearchParams params;
-      params.k = 10;
-      params.nprobe = 6;
-      params.policy = policy;
-      params.rerank_candidates = 40;  // < candidate pool: budget split matters
-      params.use_batch_estimator = batch;
-      param_sets.push_back(params);
-    }
+    IvfSearchParams params;
+    params.k = 10;
+    params.nprobe = 6;
+    params.policy = policy;
+    params.rerank_candidates = 40;  // < candidate pool: budget split matters
+    param_sets.push_back(params);
   }
 
   for (const std::size_t shards : {std::size_t{1}, std::size_t{2},

@@ -6,10 +6,11 @@
 // loading -- v1/v2 as kL2, v1-v3 with bits_per_dim = 1 -- and the current
 // v5 format ("RBQIVF05", which appends a CRC-32 footer over the body) must
 // round-trip a mutated index -- tombstones, stale update entries and all --
-// with bit-identical search results. The metric byte (offset 12) and the
-// rotator-kind byte (offset 40) are fuzzed explicitly: in-range values load
-// with that setting, out-of-range values fail closed before the rotator
-// rebuild. Body corruption under v5 is caught by the checksum.
+// with bit-identical search results. The metric byte (offset 12), the
+// query_bits field (offset 36) and the rotator-kind byte (offset 40) are
+// fuzzed explicitly: in-range values load with that setting, out-of-range
+// values fail closed before the rotator rebuild. Body corruption under v5
+// is caught by the checksum.
 
 #include <gtest/gtest.h>
 
@@ -609,6 +610,48 @@ TEST(SnapshotFuzzTest, RotatorKindByteInRangeLoadsOutOfRangeFailsClosed) {
     IvfRabitqIndex loaded;
     EXPECT_FALSE(loaded.Load(mutant).ok())
         << "rotator high byte " << byte << " loaded";
+  }
+  std::remove(path.c_str());
+  std::remove(mutant.c_str());
+}
+
+// The query_bits field (u32 at offset 36, right before the rotator kind)
+// bounds B_q to what the fast-scan-only search supports: 1..6 load a
+// self-consistent, searchable index; 0, 7..255 and any non-zero high byte
+// fail closed before the rotator rebuild.
+TEST(SnapshotFuzzTest, QueryBitsInRangeLoadsOutOfRangeFailsClosed) {
+  const std::string path = TempPath("fuzz_query_bits.rbq");
+  ASSERT_TRUE(BuildMutatedIndex().Save(path).ok());
+  const std::vector<unsigned char> bytes = ReadFileBytes(path);
+  // magic(8) + version(4) + metric(4) + dim(8) + total_bits(8) + eps0(4).
+  constexpr std::size_t kQueryBitsOffset = 36;
+  ASSERT_EQ(bytes[kQueryBitsOffset], 4u) << "writer saved a non-default B_q?";
+
+  const std::string mutant = TempPath("fuzz_query_bits_mutant.rbq");
+  const auto load_patched = [&](std::size_t offset, unsigned char value,
+                                IvfRabitqIndex* loaded) {
+    std::vector<unsigned char> patched = bytes;
+    patched[offset] = value;
+    FixupChecksum(&patched);
+    WriteFileBytes(mutant, patched);
+    return loaded->Load(mutant);
+  };
+  for (int value = 0; value <= 255; ++value) {
+    IvfRabitqIndex loaded;
+    const Status status = load_patched(
+        kQueryBitsOffset, static_cast<unsigned char>(value), &loaded);
+    if (value >= 1 && value <= kMaxFastScanQueryBits) {
+      ASSERT_TRUE(status.ok()) << "query_bits " << value;
+      EXPECT_EQ(loaded.encoder().config().query_bits, value);
+      ExpectLoadedIndexIsConsistent(loaded);
+    } else {
+      EXPECT_FALSE(status.ok()) << "query_bits " << value << " loaded";
+    }
+  }
+  for (std::size_t byte = 1; byte < 4; ++byte) {
+    IvfRabitqIndex loaded;
+    EXPECT_FALSE(load_patched(kQueryBitsOffset + byte, 1, &loaded).ok())
+        << "query_bits high byte " << byte << " loaded";
   }
   std::remove(path.c_str());
   std::remove(mutant.c_str());
