@@ -1,7 +1,6 @@
 // Shared plumbing for the figure/table reproduction harness. Every bench
 // binary prints the rows/series of one table or figure from the paper's
-// evaluation (Section 5 / Appendix F); EXPERIMENTS.md records the
-// paper-vs-measured comparison.
+// evaluation (Section 5 / Appendix F).
 //
 // Environment knobs (all optional):
 //   RABITQ_BENCH_SCALE    dataset size multiplier vs the built-in laptop

@@ -2,7 +2,7 @@
 // The dimensionalities and query-set proportions match the paper; sizes are
 // scaled to laptop scale (multiply with RABITQ_BENCH_SCALE to grow them).
 // Also prints the statistical signature of each generator so the substitution
-// documented in DESIGN.md is auditable.
+// of synthetic generators for the public datasets is auditable.
 
 #include <algorithm>
 #include <cmath>

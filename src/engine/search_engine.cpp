@@ -10,34 +10,19 @@
 
 namespace rabitq {
 
-namespace {
-
-IvfSearchStats SumStats(const IvfSearchStats* stats, std::size_t n) {
-  IvfSearchStats agg;
-  for (std::size_t i = 0; i < n; ++i) {
-    agg.codes_estimated += stats[i].codes_estimated;
-    agg.candidates_reranked += stats[i].candidates_reranked;
-    agg.lists_probed += stats[i].lists_probed;
-    agg.codes_filtered += stats[i].codes_filtered;
-    agg.codes_refined += stats[i].codes_refined;
-    agg.rerank_bound_violations += stats[i].rerank_bound_violations;
-    agg.rerank_health_samples += stats[i].rerank_health_samples;
-    agg.rerank_signed_err_sum += stats[i].rerank_signed_err_sum;
-    agg.rerank_tightness_sum += stats[i].rerank_tightness_sum;
-  }
-  return agg;
-}
-
-}  // namespace
-
 SearchEngine::SearchEngine(ShardedIndex index, const EngineConfig& config)
     : index_(std::move(index)),
       dim_(index_.dim()),
       metric_(index_.metric()),
       bits_per_dim_(index_.encoder().config().bits_per_dim),
       config_(config),
-      pool_(config.num_threads),
-      worker_scratch_(pool_.num_threads()),
+      num_threads_(config.num_threads != 0
+                       ? config.num_threads
+                       : std::max<std::size_t>(
+                             1, std::thread::hardware_concurrency())),
+      // The batch's own thread is one of the num_threads_ executors.
+      pool_(std::max<std::size_t>(1, num_threads_ - 1)),
+      worker_scratch_(num_threads_),
       stats_(&metrics_),
       queue_(config.max_queue_depth) {
   for (int s = 0; s < obs::kNumStages; ++s) {
@@ -194,47 +179,52 @@ void SearchEngine::ExecuteBatch(
     }
   }
 
-  // Scatter: (query x shard) cells fanned out over the pool, one contiguous
-  // chunk per worker slot so chunk c exclusively owns worker_scratch_[c].
+  // Scatter: (query x shard) cells in contiguous chunks, chunk c exclusively
+  // owning worker_scratch_[c]. The pool runs chunks 1..C-1 while this thread
+  // runs chunk 0, so a one-cell batch never leaves this thread.
   const std::size_t cells = n * S;
   cell_status_.assign(cells, Status::Ok());
   cell_results_.resize(cells);
   cell_stats_.assign(cells, IvfSearchStats{});
-  const std::size_t chunks = std::min(pool_.num_threads(), cells);
+  const std::size_t chunks = std::min(num_threads_, cells);
   const std::size_t per_chunk = (cells + chunks - 1) / chunks;
-  std::vector<std::future<void>> futures;
-  futures.reserve(chunks);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t begin = c * per_chunk;
-    const std::size_t end = std::min(begin + per_chunk, cells);
-    if (begin >= end) break;
-    futures.push_back(pool_.SubmitTask([&, c, begin, end] {
-      IvfSearchScratch& scratch = worker_scratch_[c].shard_scratch;
-      for (std::size_t cell = begin; cell < end; ++cell) {
-        const std::size_t q = cell / S;
-        const std::size_t s = cell % S;
-        // A sampled query's cells may run on several workers; its trace's
-        // relaxed atomic accumulators absorb the concurrent span adds.
-        if (!query_status[q].ok()) {
-          cell_status_[cell] = query_status[q];
-          continue;
-        }
-        scratch.trace = batch_traces_[q];
-        // The gather row (normalized under cosine, a plain copy otherwise)
-        // is the query the shards see -- exact re-ranks and the merge must
-        // score against the SAME vector the estimates were prepared from.
-        cell_status_[cell] = index_.SearchShard(
-            s, gather_buf_.Row(q), rotated_buf_.Row(q), *params[q], seeds[q],
-            &scratch, &cell_results_[cell], &cell_stats_[cell]);
+  const auto run_chunk = [&](std::size_t c) {
+    IvfSearchScratch& scratch = worker_scratch_[c].shard_scratch;
+    const std::size_t end = std::min((c + 1) * per_chunk, cells);
+    for (std::size_t cell = c * per_chunk; cell < end; ++cell) {
+      const std::size_t q = cell / S;
+      const std::size_t s = cell % S;
+      // A sampled query's cells may run on several threads; its trace's
+      // relaxed atomic accumulators absorb the concurrent span adds.
+      if (!query_status[q].ok()) {
+        cell_status_[cell] = query_status[q];
+        continue;
       }
-      scratch.trace = nullptr;
-    }));
+      scratch.trace = batch_traces_[q];
+      // The gather row (normalized under cosine, a plain copy otherwise)
+      // is the query the shards see -- exact re-ranks and the merge must
+      // score against the SAME vector the estimates were prepared from.
+      cell_status_[cell] = index_.SearchShard(
+          s, gather_buf_.Row(q), rotated_buf_.Row(q), *params[q], seeds[q],
+          &scratch, &cell_results_[cell], &cell_stats_[cell]);
+    }
+    scratch.trace = nullptr;
+  };
+  std::vector<std::future<void>> futures;
+  futures.reserve(chunks - 1);  // no reallocation once a task is queued
+  for (std::size_t c = 1; c < chunks && c * per_chunk < cells; ++c) {
+    futures.push_back(pool_.SubmitTask([&run_chunk, c] { run_chunk(c); }));
+  }
+  std::exception_ptr first_error;
+  try {
+    run_chunk(0);
+  } catch (...) {
+    first_error = std::current_exception();
   }
   // Drain EVERY chunk before surfacing a failure: packaged_task futures do
-  // not block on destruction, so rethrowing from the first get() would
-  // unwind (freeing the cell buffers and releasing batch_mutex_) while the
-  // remaining workers still write through those pointers.
-  std::exception_ptr first_error;
+  // not block on destruction, so rethrowing early would unwind (freeing the
+  // cell buffers and releasing batch_mutex_) while the remaining workers
+  // still write through those pointers.
   for (auto& f : futures) {
     try {
       f.get();
@@ -244,40 +234,23 @@ void SearchEngine::ExecuteBatch(
   }
   if (first_error) std::rethrow_exception(first_error);
 
-  // Gather: per-query merge of the S shard cells into global results.
-  futures.clear();
-  const std::size_t merge_chunks = std::min(pool_.num_threads(), n);
-  const std::size_t per_merge = (n + merge_chunks - 1) / merge_chunks;
-  for (std::size_t c = 0; c < merge_chunks; ++c) {
-    const std::size_t begin = c * per_merge;
-    const std::size_t end = std::min(begin + per_merge, n);
-    if (begin >= end) break;
-    futures.push_back(pool_.SubmitTask([&, c, begin, end] {
-      for (std::size_t q = begin; q < end; ++q) {
-        // A query that failed validation before the scatter (zero-norm
-        // under cosine) never ran any cell; everything else merges with the
-        // per-shard statuses so a failed or out-of-time shard degrades the
-        // query instead of failing it (see ShardedIndex::MergeShardResults).
-        if (!query_status[q].ok()) {
-          statuses[q] = query_status[q];
-          continue;
-        }
-        obs::ScopedSpan merge_span(batch_traces_[q], obs::Stage::kMerge);
-        statuses[q] = index_.MergeShardResults(
-            gather_buf_.Row(q), *params[q], &cell_results_[q * S],
-            &cell_stats_[q * S], &worker_scratch_[c], &results[q], &stats[q],
-            &cell_status_[q * S], &infos[q]);
-      }
-    }));
-  }
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
+  // Gather: this thread merges each query's S shard cells into its global
+  // result, reusing chunk 0's (now idle) scratch.
+  for (std::size_t q = 0; q < n; ++q) {
+    // A query that failed validation before the scatter (zero-norm under
+    // cosine) never ran any cell; everything else merges with the per-shard
+    // statuses so a failed or out-of-time shard degrades the query instead
+    // of failing it (see ShardedIndex::MergeShardResults).
+    if (!query_status[q].ok()) {
+      statuses[q] = query_status[q];
+      continue;
     }
+    obs::ScopedSpan merge_span(batch_traces_[q], obs::Stage::kMerge);
+    statuses[q] = index_.MergeShardResults(
+        gather_buf_.Row(q), *params[q], &cell_results_[q * S],
+        &cell_stats_[q * S], &worker_scratch_[0], &results[q], &stats[q],
+        &cell_status_[q * S], &infos[q]);
   }
-  if (first_error) std::rethrow_exception(first_error);
   for (auto& lock : read_locks) lock.unlock();
 
   const Clock::time_point end = Clock::now();
@@ -285,7 +258,9 @@ void SearchEngine::ExecuteBatch(
       std::chrono::duration<double, std::micro>(end - start).count();
   std::vector<double> latencies(n);
   std::size_t errors = 0;
+  IvfSearchStats batch_stats;
   for (std::size_t i = 0; i < n; ++i) {
+    batch_stats += stats[i];
     latencies[i] =
         submit_times != nullptr
             ? std::chrono::duration<double, std::micro>(end - submit_times[i])
@@ -300,7 +275,7 @@ void SearchEngine::ExecuteBatch(
       stats_.RecordShardFailures(infos[i].shards_failed);
     }
   }
-  stats_.RecordBatch(n, latencies.data(), SumStats(stats, n), errors);
+  stats_.RecordBatch(n, latencies.data(), batch_stats, errors);
 
   // Fold the sampled traces into the per-stage histograms and hand them to
   // the optional sink. Queue wait (submit -> batch start) only exists on
@@ -706,9 +681,19 @@ void SearchEngine::SchedulerLoop() {
       seeds[i] = batch[i].seed;
       submit_times[i] = batch[i].submit_time;
     }
-    ExecuteBatch(query_ptrs.data(), n, param_ptrs.data(), seeds.data(),
-                 submit_times.data(), statuses.data(), results.data(),
-                 stats.data(), infos.data());
+    try {
+      ExecuteBatch(query_ptrs.data(), n, param_ptrs.data(), seeds.data(),
+                   submit_times.data(), statuses.data(), results.data(),
+                   stats.data(), infos.data());
+    } catch (...) {
+      // A search that throws (a throwing IdFilter predicate, bad_alloc in a
+      // scan) fails every request of its batch, as SearchBatch throws to a
+      // sync caller; escaping this thread would terminate the process.
+      for (QueuedQuery& query : batch) {
+        query.promise.set_exception(std::current_exception());
+      }
+      continue;
+    }
     for (std::size_t i = 0; i < n; ++i) {
       SearchResponse response;
       response.status = std::move(statuses[i]);

@@ -6,10 +6,10 @@
 // What it does:
 //   * Batched execution (SearchBatch): rotates a whole batch of queries with
 //     ONE matrix-matrix product (Rotator::InverseRotateBatch) instead of one
-//     gemv per query, then scatters the (query x shard) work cells across a
-//     private ThreadPool and gathers per-query global results with a merge
-//     pass. Each worker owns its scratch, so the hot path stops allocating
-//     once the buffers reach steady state.
+//     gemv per query, then runs the (query x shard) work cells in chunks:
+//     the batch's own thread runs the first chunk and the per-query merge,
+//     a private ThreadPool the rest. Each chunk owns its scratch, so the
+//     hot path stops allocating once the buffers reach steady state.
 //   * Micro-batching (SubmitAsync): producers enqueue single queries and get
 //     futures; a scheduler thread gathers the queue into batches (up to
 //     max_batch, lingering batch_linger_us) and runs them through the same
@@ -59,7 +59,8 @@
 namespace rabitq {
 
 struct EngineConfig {
-  /// Worker threads for batch execution; 0 = hardware concurrency.
+  /// Threads executing a batch, counting the batch's own thread (the caller
+  /// or the async scheduler); the pool gets the rest. 0 = hardware concurrency.
   std::size_t num_threads = 0;
   /// Async scheduler: largest batch gathered from the submission queue.
   std::size_t max_batch = 32;
@@ -119,7 +120,7 @@ class SearchEngine {
   /// internals directly. Serving-path accessors (Stats, size) are safe.
   const ShardedIndex& index() const { return index_; }
 
-  std::size_t num_threads() const { return pool_.num_threads(); }
+  std::size_t num_threads() const { return num_threads_; }
   std::size_t num_shards() const { return index_.num_shards(); }
   /// Cached at construction: the serving paths read it lock-free, and even
   /// an immutable-in-practice index_.dim() would race with Insert's move
@@ -170,7 +171,9 @@ class SearchEngine {
   /// future resolves immediately with kResourceExhausted; a request whose
   /// deadline (options.deadline / options.timeout_us, resolved against the
   /// submission time) expires while queued is shed unexecuted and resolves
-  /// with kDeadlineExceeded.
+  /// with kDeadlineExceeded. An exception thrown by the search (say, from
+  /// an IdFilter predicate) is rethrown by get() on every future of that
+  /// batch, as SearchBatch would throw it to its caller.
   std::future<SearchResponse> SubmitAsync(const SearchRequest& request);
 
   /// Graceful shutdown: closes admission (subsequent SubmitAsync resolves
@@ -262,9 +265,11 @@ class SearchEngine {
   };
 
   /// Executes `n` gathered queries: one shared lock per shard, one batched
-  /// rotation, then a (query x shard) scatter across the pool followed by a
-  /// per-query merge pass. Exactly one batch runs at a time (batch_mutex_):
-  /// per-worker scratch and the cell buffers are reused across batches.
+  /// rotation, then a (query x shard) scatter whose first chunk runs on the
+  /// calling thread and the rest in one pool round (none for a one-cell
+  /// batch), then each query's merge on the calling thread. Exactly one
+  /// batch runs at a time (batch_mutex_): per-chunk scratch and the cell
+  /// buffers are reused across batches.
   /// `statuses`, `results`, `stats` are arrays of length n. `submit_times`
   /// non-null switches the recorded per-query latency from batch execution
   /// time to submit-to-completion time (the async path, queueing included).
@@ -293,7 +298,8 @@ class SearchEngine {
   Metric metric_;
   std::size_t bits_per_dim_;
   EngineConfig config_;
-  ThreadPool pool_;
+  std::size_t num_threads_;  // config_.num_threads resolved
+  ThreadPool pool_;          // num_threads_ - 1 workers (at least one)
 
   std::vector<std::unique_ptr<ShardSync>> sync_;  // one per shard
   std::atomic<std::uint64_t> epoch_{0};
@@ -302,7 +308,7 @@ class SearchEngine {
   std::mutex batch_mutex_;
   Matrix gather_buf_;   // batch x dim, for async requests
   Matrix rotated_buf_;  // batch x total_bits, the batched rotation
-  std::vector<ShardedSearchScratch> worker_scratch_;  // one per pool thread
+  std::vector<ShardedSearchScratch> worker_scratch_;  // one per chunk
   // (query x shard) cell buffers, laid out q * num_shards + s.
   std::vector<Status> cell_status_;
   std::vector<std::vector<Neighbor>> cell_results_;

@@ -1,7 +1,6 @@
 // Synthetic dataset suite standing in for the paper's six public datasets
 // (Table 3). The environment is offline, so each generator reproduces the
-// statistical property that drives the corresponding experimental result --
-// see DESIGN.md, substitution #1:
+// statistical property that drives the corresponding experimental result:
 //
 //   kGaussianMixture    SIFT/DEEP/Image-like: anisotropic Gaussian clusters.
 //   kCorrelatedMixture  GIST-like: clusters mixed through a random low-rank

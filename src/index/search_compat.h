@@ -119,10 +119,7 @@ Status RawPointerSearchBatch(Engine* engine, const float* queries,
   IvfSearchStats sum;
   for (std::size_t i = 0; i < num_queries; ++i) {
     (*results)[i] = std::move(responses[i].neighbors);
-    sum.codes_estimated += responses[i].stats.codes_estimated;
-    sum.candidates_reranked += responses[i].stats.candidates_reranked;
-    sum.lists_probed += responses[i].stats.lists_probed;
-    sum.codes_filtered += responses[i].stats.codes_filtered;
+    sum += responses[i].stats;
   }
   if (agg != nullptr) *agg = sum;
   return status;

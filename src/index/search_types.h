@@ -259,6 +259,20 @@ struct IvfSearchStats {
   /// Sum of lower_bound / exact over health samples; its mean in (0, 1]
   /// measures how tight the bound runs (1 = exact, -> 0 = vacuous).
   double rerank_tightness_sum = 0.0;
+
+  /// Field-wise sum: the one way shards, batches and callers aggregate.
+  IvfSearchStats& operator+=(const IvfSearchStats& other) {
+    codes_estimated += other.codes_estimated;
+    candidates_reranked += other.candidates_reranked;
+    lists_probed += other.lists_probed;
+    codes_filtered += other.codes_filtered;
+    codes_refined += other.codes_refined;
+    rerank_bound_violations += other.rerank_bound_violations;
+    rerank_health_samples += other.rerank_health_samples;
+    rerank_signed_err_sum += other.rerank_signed_err_sum;
+    rerank_tightness_sum += other.rerank_tightness_sum;
+    return *this;
+  }
 };
 
 /// One query: a non-owning view of `dim()` floats plus its options. The

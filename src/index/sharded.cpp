@@ -393,16 +393,7 @@ Status ShardedIndex::MergeShardResults(const float* query,
   IvfSearchStats agg;
   if (shard_stats != nullptr) {
     for (std::size_t s = 0; s < S; ++s) {
-      if (hard_failed(s)) continue;
-      agg.codes_estimated += shard_stats[s].codes_estimated;
-      agg.candidates_reranked += shard_stats[s].candidates_reranked;
-      agg.lists_probed += shard_stats[s].lists_probed;
-      agg.codes_filtered += shard_stats[s].codes_filtered;
-      agg.codes_refined += shard_stats[s].codes_refined;
-      agg.rerank_bound_violations += shard_stats[s].rerank_bound_violations;
-      agg.rerank_health_samples += shard_stats[s].rerank_health_samples;
-      agg.rerank_signed_err_sum += shard_stats[s].rerank_signed_err_sum;
-      agg.rerank_tightness_sum += shard_stats[s].rerank_tightness_sum;
+      if (!hard_failed(s)) agg += shard_stats[s];
     }
   }
 

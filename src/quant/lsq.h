@@ -6,7 +6,7 @@
 // scheme: greedy residual initialization + iterated conditional modes (ICM)
 // re-encoding, with coordinate-descent codebook updates. This preserves the
 // behaviours the paper measures: indexing far slower than PQ (Table 4) and
-// accuracy that is dataset-sensitive (Fig. 3). See DESIGN.md substitution #2.
+// accuracy that is dataset-sensitive (Fig. 3).
 //
 // ADC at query time: ||q - y||^2 = ||q||^2 + 2<q, -y> + ||y||^2 with
 // y = sum_m c_m. LUT[m][j] = -2<q, c_mj>; ||y||^2 is precomputed per code

@@ -1,7 +1,8 @@
 // Tests for the concurrent query-serving engine: batched execution parity
-// with the sequential search path (bit-identical results), multi-threaded
-// stress through both SearchBatch and SubmitAsync, concurrent insert+search
-// coordination, stats accounting, and error propagation.
+// with the sequential search path (bit-identical results), which threads
+// run a batch, multi-threaded stress through both SearchBatch and
+// SubmitAsync, concurrent insert+search coordination, stats accounting, and
+// error propagation.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,9 @@
 #include <chrono>
 #include <cstdint>
 #include <future>
+#include <mutex>
+#include <set>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -127,6 +131,61 @@ TEST_F(EngineTestFixture, BatchSizeOneMatchesSequentialSearch) {
                             SearchEngine::QuerySeed(0, 0), &ref)
                     .ok());
     ExpectSameNeighbors(results[0], ref);
+  }
+}
+
+// An allow-all IdFilter predicate that records every thread it runs on, so
+// a test can see which threads scanned a batch's cells.
+struct ThreadRecorder {
+  std::mutex mutex;
+  std::set<std::thread::id> ids;
+
+  IdFilter Filter() {
+    return IdFilter::FromPredicate(
+        [](void* context, std::uint32_t) {
+          auto* self = static_cast<ThreadRecorder*>(context);
+          std::lock_guard<std::mutex> lock(self->mutex);
+          self->ids.insert(std::this_thread::get_id());
+          return true;
+        },
+        this);
+  }
+};
+
+// The batch's own thread runs the first chunk of cells: a one-cell batch
+// (one query, one shard) never reaches the pool, and with num_threads = 1
+// the caller runs every cell of a batch itself.
+TEST_F(EngineTestFixture, CallerRunsOneCellBatchesAndSingleThreadBatches) {
+  const std::set<std::thread::id> caller_only = {std::this_thread::get_id()};
+  {
+    EngineConfig config;
+    config.num_threads = 2;
+    SearchEngine engine(BuildIndex(data_, 16), config);
+    ASSERT_EQ(engine.num_threads(), 2u);
+    ThreadRecorder recorder;
+    SearchRequest request{queries_.Row(0), params_};
+    request.options.filter = recorder.Filter();
+    ASSERT_TRUE(engine.Search(request).ok());
+    EXPECT_EQ(recorder.ids, caller_only);
+  }
+  IvfRabitqIndex index = BuildIndex(data_, 16);
+  const auto reference = SequentialReference(index);
+  EngineConfig config;
+  config.num_threads = 1;
+  SearchEngine engine(std::move(index), config);
+  ThreadRecorder recorder;
+  constexpr std::size_t kBatch = 8;
+  std::vector<SearchRequest> requests(kBatch);
+  for (std::size_t i = 0; i < kBatch; ++i) {
+    requests[i] = {queries_.Row(i), params_};
+    requests[i].options.seed = SearchEngine::QuerySeed(kSeedBase, i);
+    requests[i].options.filter = recorder.Filter();
+  }
+  std::vector<SearchResponse> responses;
+  ASSERT_TRUE(engine.SearchBatch(requests.data(), kBatch, &responses).ok());
+  EXPECT_EQ(recorder.ids, caller_only);
+  for (std::size_t i = 0; i < kBatch; ++i) {
+    ExpectSameNeighbors(responses[i].neighbors, reference[i]);
   }
 }
 
@@ -303,6 +362,30 @@ TEST_F(EngineTestFixture, PerQueryErrorsPropagateWithoutPoisoningBatch) {
   EXPECT_FALSE(
       engine.SearchBatch(queries_.data(), 2, bad, &results).ok());
   ASSERT_EQ(results.size(), 2u);
+}
+
+// An exception thrown inside an async batch (here by the request's own
+// filter predicate) fails that request's future, as it would throw to a
+// sync caller, and the scheduler keeps serving later requests.
+TEST_F(EngineTestFixture, AsyncSearchExceptionFailsItsFutureAndKeepsServing) {
+  SearchEngine engine(BuildIndex(data_, 16));
+  SearchRequest throwing{queries_.Row(0), params_};
+  throwing.options.filter = IdFilter::FromPredicate(
+      [](void*, std::uint32_t) -> bool {
+        throw std::runtime_error("predicate failed");
+      },
+      nullptr);
+  EXPECT_THROW(engine.Search(throwing), std::runtime_error);
+  std::future<SearchResponse> failed = engine.SubmitAsync(throwing);
+  EXPECT_THROW(failed.get(), std::runtime_error);
+
+  SearchRequest plain{queries_.Row(1), params_};
+  plain.options.seed = SearchEngine::QuerySeed(kSeedBase, 1);
+  const SearchResponse async = engine.SubmitAsync(plain).get();
+  const SearchResponse sync = engine.Search(plain);
+  ASSERT_TRUE(async.ok()) << async.status.ToString();
+  ASSERT_TRUE(sync.ok()) << sync.status.ToString();
+  ExpectSameNeighbors(async.neighbors, sync.neighbors);
 }
 
 TEST(EngineTest, QuerySeedStreamIsStable) {

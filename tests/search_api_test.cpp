@@ -251,15 +251,16 @@ TEST_F(EngineApiTest, RawPointerBatchShimMatchesRequestCore) {
   for (std::size_t i = 0; i < kNumQueries; ++i) {
     ASSERT_TRUE(responses[i].ok());
     EXPECT_EQ(responses[i].neighbors, old_results[i]) << "query " << i;
-    new_agg.codes_estimated += responses[i].stats.codes_estimated;
-    new_agg.candidates_reranked += responses[i].stats.candidates_reranked;
-    new_agg.lists_probed += responses[i].stats.lists_probed;
-    new_agg.codes_filtered += responses[i].stats.codes_filtered;
+    new_agg += responses[i].stats;
   }
   EXPECT_EQ(new_agg.codes_estimated, old_agg.codes_estimated);
   EXPECT_EQ(new_agg.candidates_reranked, old_agg.candidates_reranked);
   EXPECT_EQ(new_agg.lists_probed, old_agg.lists_probed);
   EXPECT_EQ(new_agg.codes_filtered, old_agg.codes_filtered);
+  EXPECT_EQ(new_agg.codes_refined, old_agg.codes_refined);
+  EXPECT_GT(new_agg.rerank_health_samples, 0u);
+  EXPECT_EQ(new_agg.rerank_health_samples, old_agg.rerank_health_samples);
+  EXPECT_EQ(new_agg.rerank_bound_violations, old_agg.rerank_bound_violations);
 }
 
 TEST_F(EngineApiTest, SingleSearchMatchesSeededBatchEntry) {
