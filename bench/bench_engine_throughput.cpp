@@ -93,7 +93,7 @@ std::size_t EnvSize(const char* name, std::size_t fallback) {
 // and moves the neighbor lists into (*all)[row].
 void RunRequestBatch(SearchEngine* engine, const Matrix& queries,
                      std::size_t begin, std::size_t count,
-                     const IvfSearchParams& params, const IdFilter& filter,
+                     const SearchOptions& params, const IdFilter& filter,
                      std::vector<std::vector<Neighbor>>* all) {
   std::vector<SearchRequest> requests(count);
   for (std::size_t i = 0; i < count; ++i) {
@@ -124,7 +124,7 @@ int Run(int argc, char** argv) {
   Matrix data = Clustered(n, dim, 64, 11);
   Matrix queries = Clustered(num_queries, dim, 64, 12);
 
-  IvfSearchParams params;
+  SearchOptions params;
   params.k = 10;
   params.nprobe = 32;
 
@@ -429,7 +429,7 @@ int Run(int argc, char** argv) {
     for (const AblationSetting& setting : kAblationSettings) {
       for (const std::size_t nprobe : {std::size_t{4}, std::size_t{8},
                                        std::size_t{16}, std::size_t{32}}) {
-        IvfSearchParams bparams = params;
+        SearchOptions bparams = params;
         bparams.policy = setting.policy;
         bparams.epsilon0_override = setting.eps0;
         bparams.nprobe = nprobe;
@@ -539,7 +539,7 @@ int Run(int argc, char** argv) {
     EngineConfig config;
     config.num_threads = max_threads;
     SearchEngine engine(std::move(sharded), config);
-    IvfSearchParams sparams = params;
+    SearchOptions sparams = params;
     sparams.nprobe = std::max<std::size_t>(1, params.nprobe / shards);
 
     std::vector<std::vector<Neighbor>> all(num_queries);

@@ -61,7 +61,7 @@ int main() {
       // RaBitQ with and without re-ranking.
       for (const bool rerank : {true, false}) {
         Rng rng(3);
-        IvfSearchParams params;
+        SearchOptions params;
         params.k = k;
         params.nprobe = nprobe;
         params.policy =

@@ -99,7 +99,7 @@ int main() {
     for (std::size_t nprobe : nprobes) {
       nprobe = std::min(nprobe, rabitq_index.num_lists());
       Rng rng(1);
-      IvfSearchParams params;
+      SearchOptions params;
       params.k = kK;
       params.nprobe = nprobe;
       points.push_back(MeasureSweepPoint(

@@ -44,7 +44,7 @@ int main() {
       std::size_t reranked = 0;
       for (std::size_t q = 0; q < queries.rows(); ++q) {
         Rng rng(500 + q);  // same quantization randomness across eps0 values
-        IvfSearchParams params;
+        SearchOptions params;
         params.k = k;
         params.nprobe = index.num_lists();  // full probe
         params.epsilon0_override = eps0;

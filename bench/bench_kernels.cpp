@@ -2,9 +2,9 @@
 // claims plus this repo's fused estimate pipeline):
 //   * estimate+bound assembly: the legacy per-code path (sqrt + divide +
 //     AoS view, the pre-factor-precomputation code) vs the fused scalar
-//     reference vs the fused AVX2 kernel -- the headline `speedup_assemble`
-//     is fused vs the scalar reference, `speedup_assemble_vs_legacy` shows
-//     the full hoisting win;
+//     reference vs the fused AVX2 kernel, both fused kernels with pruning
+//     off -- the headline `speedup_assemble` is fused vs the scalar
+//     reference, `speedup_assemble_vs_legacy` shows the full hoisting win;
 //   * end-to-end per-list scan: fast-scan accumulation + assembly +
 //     candidate selection, two-pass (estimate everything, then re-scan the
 //     buffers) vs the fused in-kernel-pruned single pass;
@@ -22,6 +22,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -42,6 +43,8 @@ namespace {
 constexpr std::size_t kDim = 128;   // SIFT-like
 constexpr std::size_t kBits = 128;  // RaBitQ code length
 constexpr std::size_t kScanCodes = 4096;  // 128 full blocks per "list"
+// The fused kernels' no-prune threshold.
+constexpr float kNoPrune = std::numeric_limits<float>::infinity();
 
 // Keeps results alive across optimization like benchmark::DoNotOptimize.
 volatile float g_sink_f = 0.0f;
@@ -174,9 +177,9 @@ void RunAssemblyBenches(const ScanFixture& fx, std::vector<Row>* rows,
       [&] {
         for (std::size_t b = 0; b < num_blocks; ++b) {
           const std::size_t begin = b * kFastScanBlockSize;
-          EstimateBlockFusedScalar(fx.query, fx.store, b,
-                                   fx.sums.data() + begin, eps0,
-                                   est.data() + begin, lb.data() + begin);
+          EstimateBlockFusedPrunedScalar(
+              fx.query, fx.store, b, fx.sums.data() + begin, eps0, kNoPrune,
+              nullptr, est.data() + begin, lb.data() + begin);
         }
         g_sink_f = g_sink_f + est[0] + lb[kScanCodes - 1];
       },
@@ -187,8 +190,9 @@ void RunAssemblyBenches(const ScanFixture& fx, std::vector<Row>* rows,
       [&] {
         for (std::size_t b = 0; b < num_blocks; ++b) {
           const std::size_t begin = b * kFastScanBlockSize;
-          EstimateBlockFused(fx.query, fx.store, b, fx.sums.data() + begin,
-                             eps0, est.data() + begin, lb.data() + begin);
+          EstimateBlockFusedPruned(
+              fx.query, fx.store, b, fx.sums.data() + begin, eps0, kNoPrune,
+              nullptr, est.data() + begin, lb.data() + begin);
         }
         g_sink_f = g_sink_f + est[0] + lb[kScanCodes - 1];
       },
@@ -214,9 +218,10 @@ void RunScanBenches(const ScanFixture& fx, std::vector<Row>* rows,
     for (std::size_t b = 0; b < num_blocks; ++b) {
       FastScanAccumulateBlock(packed.BlockPtr(b), packed.num_segments,
                               fx.query.luts.data(), sums);
-      EstimateBlockFusedScalar(fx.query, fx.store, b, sums, eps0,
-                               est.data() + b * kFastScanBlockSize,
-                               lb.data() + b * kFastScanBlockSize);
+      EstimateBlockFusedPrunedScalar(fx.query, fx.store, b, sums, eps0,
+                                     kNoPrune, nullptr,
+                                     est.data() + b * kFastScanBlockSize,
+                                     lb.data() + b * kFastScanBlockSize);
     }
   }
   std::vector<float> sorted_lb = lb;

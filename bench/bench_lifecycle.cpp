@@ -144,7 +144,7 @@ int Run(int argc, char** argv) {
     config.compaction_tombstone_ratio = 0.2f;
     config.compaction_min_dead = 64;
     SearchEngine engine(std::move(index), config);
-    IvfSearchParams params;
+    SearchOptions params;
     params.k = 10;
     params.nprobe = 32;
 

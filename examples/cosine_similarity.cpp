@@ -108,7 +108,7 @@ int main() {
   }
   std::size_t index_top1_hits = 0;
   for (std::size_t q = 0; q < queries.rows(); ++q) {
-    IvfSearchParams params;
+    SearchOptions params;
     params.k = 1;
     params.nprobe = 16;
     params.seed = 100 + q;

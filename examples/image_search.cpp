@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
                       "reranked/query"});
   Rng rng(7);
   for (const std::size_t nprobe : {4u, 8u, 16u, 32u, 64u}) {
-    IvfSearchParams params;
+    SearchOptions params;
     params.k = 100;
     params.nprobe = nprobe;
     double recall = 0.0, ratio = 0.0;

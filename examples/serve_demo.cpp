@@ -45,7 +45,6 @@
 using rabitq::EngineConfig;
 using rabitq::EngineStatsSnapshot;
 using rabitq::IdFilter;
-using rabitq::IvfSearchParams;
 using rabitq::Matrix;
 using rabitq::Rng;
 using rabitq::SearchEngine;
@@ -325,10 +324,9 @@ int RunInProcess(const DemoArgs& args) {
   // short demo run actually exercises the background compactor.
   config.compaction_tombstone_ratio = 0.10f;
   config.compaction_min_dead = 8;
-  IvfSearchParams params;
+  SearchOptions params;
   params.k = 10;
   params.nprobe = std::max<std::size_t>(1, 16 / num_shards);  // per shard
-  config.default_params = params;
 
   // Trace sink: every 64th query (the default sample period) delivers its
   // per-stage span breakdown here. Keep the first few and print them at the

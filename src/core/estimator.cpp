@@ -415,24 +415,6 @@ DistanceEstimate EstimateDistanceBiased(const QuantizedQuery& query,
   return Assemble(query, code, s, /*epsilon0=*/0.0f, /*unbias=*/false);
 }
 
-void EstimateBlockFused(const QuantizedQuery& query,
-                        const RabitqCodeStore& store, std::size_t block,
-                        const std::uint32_t* sums, float epsilon0,
-                        float* dist_sq, float* lower_bounds) {
-  FusedBlockDispatch(query, store, block, sums, epsilon0, FLT_MAX, dist_sq,
-                     lower_bounds);
-}
-
-void EstimateBlockFusedScalar(const QuantizedQuery& query,
-                              const RabitqCodeStore& store, std::size_t block,
-                              const std::uint32_t* sums, float epsilon0,
-                              float* dist_sq, float* lower_bounds) {
-  const std::size_t begin = block * kFastScanBlockSize;
-  const std::size_t count = std::min(kFastScanBlockSize, store.size() - begin);
-  FusedBlockScalar(query, store, begin, sums, count, epsilon0, FLT_MAX,
-                   dist_sq, lower_bounds);
-}
-
 std::uint32_t EstimateBlockFusedPruned(const QuantizedQuery& query,
                                        const RabitqCodeStore& store,
                                        std::size_t block,
@@ -587,7 +569,7 @@ void EstimateBlock(const QuantizedQuery& query, const RabitqCodeStore& store,
   const std::size_t begin = block * kFastScanBlockSize;
   const std::size_t count = std::min(kFastScanBlockSize, store.size() - begin);
   if (count == kFastScanBlockSize) {
-    EstimateBlockFused(query, store, block, s, epsilon0, dist_sq,
+    FusedBlockDispatch(query, store, block, s, epsilon0, FLT_MAX, dist_sq,
                        lower_bounds);
     return;
   }
@@ -595,7 +577,7 @@ void EstimateBlock(const QuantizedQuery& query, const RabitqCodeStore& store,
   // entries, so assemble into block-sized temporaries and copy.
   float tmp_dist[kFastScanBlockSize];
   float tmp_lb[kFastScanBlockSize];
-  EstimateBlockFused(query, store, block, s, epsilon0, tmp_dist,
+  FusedBlockDispatch(query, store, block, s, epsilon0, FLT_MAX, tmp_dist,
                      lower_bounds == nullptr ? nullptr : tmp_lb);
   std::memcpy(dist_sq, tmp_dist, count * sizeof(float));
   if (lower_bounds != nullptr) {

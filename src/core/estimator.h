@@ -79,21 +79,8 @@ void EstimateBlock(const QuantizedQuery& query, const RabitqCodeStore& store,
 /// and lanes past size() on the tail block are unspecified (the SIMD path
 /// may write garbage there, the scalar path leaves them untouched).
 /// AVX2+FMA when available, bit-identical to the scalar reference.
-void EstimateBlockFused(const QuantizedQuery& query,
-                        const RabitqCodeStore& store, std::size_t block,
-                        const std::uint32_t* sums, float epsilon0,
-                        float* dist_sq, float* lower_bounds);
-
-/// Bit-exact scalar reference for EstimateBlockFused (mirrors the kernel's
-/// per-lane operation order with explicit std::fma).
-void EstimateBlockFusedScalar(const QuantizedQuery& query,
-                              const RabitqCodeStore& store, std::size_t block,
-                              const std::uint32_t* sums, float epsilon0,
-                              float* dist_sq, float* lower_bounds);
-
-/// In-kernel pruning variant for the kErrorBound policy: assembles the block
-/// like EstimateBlockFused (same buffer contract, both buffers written) and
-/// returns a survivors bitmask -- bit k set iff lane k is a real code
+///
+/// Returns a survivors bitmask -- bit k set iff lane k is a real code
 /// (k < count for a tail block), is not tombstoned (`dead`, 32 flags for
 /// this block, may be null when the list has no tombstones), is allowed by
 /// `lane_mask` (bit k clear drops lane k -- the per-query IdFilter's
@@ -112,7 +99,8 @@ std::uint32_t EstimateBlockFusedPruned(const QuantizedQuery& query,
                                        float* dist_sq, float* lower_bounds,
                                        std::uint32_t lane_mask = 0xFFFFFFFFu);
 
-/// Bit-exact scalar reference for EstimateBlockFusedPruned.
+/// Bit-exact scalar reference for EstimateBlockFusedPruned (mirrors the
+/// kernel's per-lane operation order with explicit std::fma).
 std::uint32_t EstimateBlockFusedPrunedScalar(
     const QuantizedQuery& query, const RabitqCodeStore& store,
     std::size_t block, const std::uint32_t* sums, float epsilon0,

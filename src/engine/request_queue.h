@@ -26,12 +26,6 @@
 
 namespace rabitq {
 
-#ifndef RABITQ_NO_DEPRECATED
-/// Legacy name for the outcome of one served query; the unified response
-/// type replaced it (same members: status / neighbors / stats).
-using EngineResult RABITQ_DEPRECATED("use SearchResponse") = SearchResponse;
-#endif  // RABITQ_NO_DEPRECATED
-
 /// One queued query, owning a copy of the vector (the caller's buffer may
 /// die immediately after SubmitAsync returns; the options' IdFilter stays a
 /// view -- its bitmap/context must live until the future resolves). `seed`

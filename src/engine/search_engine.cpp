@@ -20,8 +20,6 @@ SearchEngine::SearchEngine(ShardedIndex index, const EngineConfig& config)
                        ? config.num_threads
                        : std::max<std::size_t>(
                              1, std::thread::hardware_concurrency())),
-      // The batch's own thread is one of the num_threads_ executors.
-      pool_(std::max<std::size_t>(1, num_threads_ - 1)),
       worker_scratch_(num_threads_),
       stats_(&metrics_),
       queue_(config.max_queue_depth) {
@@ -59,6 +57,9 @@ SearchEngine::SearchEngine(ShardedIndex index, const EngineConfig& config)
   for (std::size_t s = 0; s < index_.num_shards(); ++s) {
     sync_.push_back(std::make_unique<ShardSync>());
   }
+  // The batch's own thread is one of the num_threads_ executors, so a
+  // one-thread engine runs every batch without a pool.
+  if (num_threads_ > 1) pool_.emplace(num_threads_ - 1);
   scheduler_ = std::thread([this] { SchedulerLoop(); });
   compactor_ = std::thread([this] { CompactorLoop(); });
 }
@@ -97,13 +98,27 @@ std::uint64_t SearchEngine::QuerySeed(std::uint64_t base,
 
 void SearchEngine::ExecuteBatch(
     const float* const* queries, std::size_t n,
-    const IvfSearchParams* const* params, const std::uint64_t* seeds,
+    const SearchOptions* const* params, const std::uint64_t* seeds,
     const std::chrono::steady_clock::time_point* submit_times,
     Status* statuses, std::vector<Neighbor>* results, IvfSearchStats* stats,
     ShardMergeInfo* infos) {
   using Clock = std::chrono::steady_clock;
   std::lock_guard<std::mutex> batch_lock(batch_mutex_);
   const Clock::time_point start = Clock::now();
+  // Each query's latency is its batch's execution time, or submit to
+  // completion on the async path (queueing included).
+  const auto record_batch = [&](const IvfSearchStats& batch_stats,
+                                std::size_t errors) {
+    const Clock::time_point end = Clock::now();
+    std::vector<double> latencies(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      latencies[i] = std::chrono::duration<double, std::micro>(
+                         end - (submit_times != nullptr ? submit_times[i]
+                                                        : start))
+                         .count();
+    }
+    stats_.RecordBatch(n, latencies.data(), batch_stats, errors);
+  };
   const std::size_t S = index_.num_shards();
   if (S == 0) {
     for (std::size_t i = 0; i < n; ++i) {
@@ -112,160 +127,158 @@ void SearchEngine::ExecuteBatch(
     return;
   }
 
-  // Deterministic trace sampling, decided before any work: a pure function
-  // of each query's resolved seed, so the traced subset does not depend on
-  // threads, shards or batch composition. batch_traces_[i] stays null for
-  // untraced queries -- every downstream hook is then one branch, no clock.
-  batch_traces_.assign(n, nullptr);
+  // A batch that throws (say, from an IdFilter predicate) still shows in
+  // the stats: its n queries record as failed before the exception leaves.
   bool any_traced = false;
-  if (config_.trace_sample_period > 0) {
-    if (n > trace_capacity_) {
-      trace_storage_ = std::make_unique<obs::QueryTrace[]>(n);
-      trace_capacity_ = n;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      if (obs::SampleTrace(seeds[i], config_.trace_sample_period)) {
-        trace_storage_[i].Clear();
-        batch_traces_[i] = &trace_storage_[i];
-        any_traced = true;
+  try {
+    // Deterministic trace sampling, decided before any work: a pure function
+    // of each query's resolved seed, so the traced subset does not depend on
+    // threads, shards or batch composition. batch_traces_[i] stays null for
+    // untraced queries -- every downstream hook is then one branch, no clock.
+    batch_traces_.assign(n, nullptr);
+    if (config_.trace_sample_period > 0) {
+      if (n > trace_capacity_) {
+        trace_storage_ = std::make_unique<obs::QueryTrace[]>(n);
+        trace_capacity_ = n;
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        if (obs::SampleTrace(seeds[i], config_.trace_sample_period)) {
+          trace_storage_[i].Clear();
+          batch_traces_[i] = &trace_storage_[i];
+          any_traced = true;
+        }
       }
     }
-  }
 
-  // The whole batch runs against one consistent snapshot: shared locks on
-  // every shard, so mutations run between batches (or overlap batches that
-  // have already finished with their shard -- never mid-read).
-  std::vector<std::shared_lock<std::shared_mutex>> read_locks;
-  read_locks.reserve(S);
-  for (std::size_t s = 0; s < S; ++s) {
-    read_locks.emplace_back(sync_[s]->index_mutex);
-  }
+    // The whole batch runs against one consistent snapshot: shared locks on
+    // every shard, so mutations run between batches (or overlap batches that
+    // have already finished with their shard -- never mid-read).
+    std::vector<std::shared_lock<std::shared_mutex>> read_locks;
+    read_locks.reserve(S);
+    for (std::size_t s = 0; s < S; ++s) {
+      read_locks.emplace_back(sync_[s]->index_mutex);
+    }
 
-  // Gather and rotate every query with one matrix-matrix product -- the
-  // per-query gemv this replaces is the dominant shared-preprocessing cost.
-  Clock::time_point preprocess_start;
-  if (any_traced) preprocess_start = Clock::now();
-  const std::size_t d = index_.dim();
-  gather_buf_.Reset(n, d);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::copy_n(queries[i], d, gather_buf_.Row(i));
-  }
-  // Cosine normalizes where it rotates (the index contract for pre-rotated
-  // queries). A zero-norm query fails per-query, not per-batch: its gather
-  // row rotates to zeros harmlessly and its cells are skipped below.
-  std::vector<Status> query_status(n, Status::Ok());
-  if (metric_ == Metric::kCosine) {
+    // Gather and rotate every query with one matrix-matrix product -- the
+    // per-query gemv this replaces is the dominant shared-preprocessing cost.
+    Clock::time_point preprocess_start;
+    if (any_traced) preprocess_start = Clock::now();
+    const std::size_t d = index_.dim();
+    gather_buf_.Reset(n, d);
     for (std::size_t i = 0; i < n; ++i) {
-      if (NormalizeInPlace(gather_buf_.Row(i), d) == 0.0f) {
-        query_status[i] =
-            Status::InvalidArgument("zero-norm query under cosine metric");
+      std::copy_n(queries[i], d, gather_buf_.Row(i));
+    }
+    // Cosine normalizes where it rotates (the index contract for pre-rotated
+    // queries). A zero-norm query fails per-query, not per-batch: its gather
+    // row rotates to zeros harmlessly and its cells are skipped below.
+    std::vector<Status> query_status(n, Status::Ok());
+    if (metric_ == Metric::kCosine) {
+      for (std::size_t i = 0; i < n; ++i) {
+        if (NormalizeInPlace(gather_buf_.Row(i), d) == 0.0f) {
+          query_status[i] =
+              Status::InvalidArgument("zero-norm query under cosine metric");
+        }
       }
     }
-  }
-  index_.encoder().rotator().InverseRotateBatch(gather_buf_, &rotated_buf_);
-  if (any_traced) {
-    // The batched rotation is shared work; each sampled trace gets its
-    // per-query share (batch duration / batch size).
-    const std::uint64_t preprocess_ns =
-        static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                Clock::now() - preprocess_start)
-                .count()) /
-        n;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (batch_traces_[i] != nullptr) {
-        batch_traces_[i]->AddNanos(obs::Stage::kPreprocess, preprocess_ns);
+    index_.encoder().rotator().InverseRotateBatch(gather_buf_, &rotated_buf_);
+    if (any_traced) {
+      // The batched rotation is shared work; each sampled trace gets its
+      // per-query share (batch duration / batch size).
+      const std::uint64_t preprocess_ns =
+          static_cast<std::uint64_t>(
+              std::chrono::duration_cast<std::chrono::nanoseconds>(
+                  Clock::now() - preprocess_start)
+                  .count()) /
+          n;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (batch_traces_[i] != nullptr) {
+          batch_traces_[i]->AddNanos(obs::Stage::kPreprocess, preprocess_ns);
+        }
       }
     }
-  }
 
-  // Scatter: (query x shard) cells in contiguous chunks, chunk c exclusively
-  // owning worker_scratch_[c]. The pool runs chunks 1..C-1 while this thread
-  // runs chunk 0, so a one-cell batch never leaves this thread.
-  const std::size_t cells = n * S;
-  cell_status_.assign(cells, Status::Ok());
-  cell_results_.resize(cells);
-  cell_stats_.assign(cells, IvfSearchStats{});
-  const std::size_t chunks = std::min(num_threads_, cells);
-  const std::size_t per_chunk = (cells + chunks - 1) / chunks;
-  const auto run_chunk = [&](std::size_t c) {
-    IvfSearchScratch& scratch = worker_scratch_[c].shard_scratch;
-    const std::size_t end = std::min((c + 1) * per_chunk, cells);
-    for (std::size_t cell = c * per_chunk; cell < end; ++cell) {
-      const std::size_t q = cell / S;
-      const std::size_t s = cell % S;
-      // A sampled query's cells may run on several threads; its trace's
-      // relaxed atomic accumulators absorb the concurrent span adds.
+    // Scatter: (query x shard) cells in contiguous chunks, chunk c exclusively
+    // owning worker_scratch_[c]. The pool runs chunks 1..C-1 while this thread
+    // runs chunk 0, so a one-cell batch never leaves this thread.
+    const std::size_t cells = n * S;
+    cell_status_.assign(cells, Status::Ok());
+    cell_results_.resize(cells);
+    cell_stats_.assign(cells, IvfSearchStats{});
+    const std::size_t chunks = std::min(num_threads_, cells);
+    const std::size_t per_chunk = (cells + chunks - 1) / chunks;
+    const auto run_chunk = [&](std::size_t c) {
+      IvfSearchScratch& scratch = worker_scratch_[c].shard_scratch;
+      const std::size_t end = std::min((c + 1) * per_chunk, cells);
+      for (std::size_t cell = c * per_chunk; cell < end; ++cell) {
+        const std::size_t q = cell / S;
+        const std::size_t s = cell % S;
+        // A sampled query's cells may run on several threads; its trace's
+        // relaxed atomic accumulators absorb the concurrent span adds.
+        if (!query_status[q].ok()) {
+          cell_status_[cell] = query_status[q];
+          continue;
+        }
+        scratch.trace = batch_traces_[q];
+        // The gather row (normalized under cosine, a plain copy otherwise)
+        // is the query the shards see -- exact re-ranks and the merge must
+        // score against the SAME vector the estimates were prepared from.
+        cell_status_[cell] = index_.SearchShard(
+            s, gather_buf_.Row(q), rotated_buf_.Row(q), *params[q], seeds[q],
+            &scratch, &cell_results_[cell], &cell_stats_[cell]);
+      }
+      scratch.trace = nullptr;
+    };
+    std::vector<std::future<void>> futures;
+    futures.reserve(chunks - 1);  // no reallocation once a task is queued
+    for (std::size_t c = 1; c < chunks && c * per_chunk < cells; ++c) {
+      futures.push_back(pool_->SubmitTask([&run_chunk, c] { run_chunk(c); }));
+    }
+    std::exception_ptr first_error;
+    try {
+      run_chunk(0);
+    } catch (...) {
+      first_error = std::current_exception();
+    }
+    // Drain EVERY chunk before surfacing a failure: packaged_task futures do
+    // not block on destruction, so rethrowing early would unwind (freeing the
+    // cell buffers and releasing batch_mutex_) while the remaining workers
+    // still write through those pointers.
+    for (auto& f : futures) {
+      try {
+        f.get();
+      } catch (...) {
+        if (!first_error) first_error = std::current_exception();
+      }
+    }
+    if (first_error) std::rethrow_exception(first_error);
+
+    // Gather: this thread merges each query's S shard cells into its global
+    // result, reusing chunk 0's (now idle) scratch.
+    for (std::size_t q = 0; q < n; ++q) {
+      // A query that failed validation before the scatter (zero-norm under
+      // cosine) never ran any cell; everything else merges with the per-shard
+      // statuses so a failed or out-of-time shard degrades the query instead
+      // of failing it (see ShardedIndex::MergeShardResults).
       if (!query_status[q].ok()) {
-        cell_status_[cell] = query_status[q];
+        statuses[q] = query_status[q];
         continue;
       }
-      scratch.trace = batch_traces_[q];
-      // The gather row (normalized under cosine, a plain copy otherwise)
-      // is the query the shards see -- exact re-ranks and the merge must
-      // score against the SAME vector the estimates were prepared from.
-      cell_status_[cell] = index_.SearchShard(
-          s, gather_buf_.Row(q), rotated_buf_.Row(q), *params[q], seeds[q],
-          &scratch, &cell_results_[cell], &cell_stats_[cell]);
+      obs::ScopedSpan merge_span(batch_traces_[q], obs::Stage::kMerge);
+      statuses[q] = index_.MergeShardResults(
+          gather_buf_.Row(q), *params[q], &cell_results_[q * S],
+          &cell_stats_[q * S], &worker_scratch_[0], &results[q], &stats[q],
+          &cell_status_[q * S], &infos[q]);
     }
-    scratch.trace = nullptr;
-  };
-  std::vector<std::future<void>> futures;
-  futures.reserve(chunks - 1);  // no reallocation once a task is queued
-  for (std::size_t c = 1; c < chunks && c * per_chunk < cells; ++c) {
-    futures.push_back(pool_.SubmitTask([&run_chunk, c] { run_chunk(c); }));
-  }
-  std::exception_ptr first_error;
-  try {
-    run_chunk(0);
+    for (auto& lock : read_locks) lock.unlock();
   } catch (...) {
-    first_error = std::current_exception();
+    record_batch(IvfSearchStats{}, n);
+    throw;
   }
-  // Drain EVERY chunk before surfacing a failure: packaged_task futures do
-  // not block on destruction, so rethrowing early would unwind (freeing the
-  // cell buffers and releasing batch_mutex_) while the remaining workers
-  // still write through those pointers.
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
 
-  // Gather: this thread merges each query's S shard cells into its global
-  // result, reusing chunk 0's (now idle) scratch.
-  for (std::size_t q = 0; q < n; ++q) {
-    // A query that failed validation before the scatter (zero-norm under
-    // cosine) never ran any cell; everything else merges with the per-shard
-    // statuses so a failed or out-of-time shard degrades the query instead
-    // of failing it (see ShardedIndex::MergeShardResults).
-    if (!query_status[q].ok()) {
-      statuses[q] = query_status[q];
-      continue;
-    }
-    obs::ScopedSpan merge_span(batch_traces_[q], obs::Stage::kMerge);
-    statuses[q] = index_.MergeShardResults(
-        gather_buf_.Row(q), *params[q], &cell_results_[q * S],
-        &cell_stats_[q * S], &worker_scratch_[0], &results[q], &stats[q],
-        &cell_status_[q * S], &infos[q]);
-  }
-  for (auto& lock : read_locks) lock.unlock();
-
-  const Clock::time_point end = Clock::now();
-  const double batch_us =
-      std::chrono::duration<double, std::micro>(end - start).count();
-  std::vector<double> latencies(n);
   std::size_t errors = 0;
   IvfSearchStats batch_stats;
   for (std::size_t i = 0; i < n; ++i) {
     batch_stats += stats[i];
-    latencies[i] =
-        submit_times != nullptr
-            ? std::chrono::duration<double, std::micro>(end - submit_times[i])
-                  .count()
-            : batch_us;
     if (!statuses[i].ok()) ++errors;
     if (statuses[i].code() == StatusCode::kDeadlineExceeded) {
       stats_.RecordDeadlineExceeded();
@@ -275,7 +288,7 @@ void SearchEngine::ExecuteBatch(
       stats_.RecordShardFailures(infos[i].shards_failed);
     }
   }
-  stats_.RecordBatch(n, latencies.data(), batch_stats, errors);
+  record_batch(batch_stats, errors);
 
   // Fold the sampled traces into the per-stage histograms and hand them to
   // the optional sink. Queue wait (submit -> batch start) only exists on
@@ -332,8 +345,8 @@ Status SearchEngine::SearchBatch(const SearchRequest* requests,
   const std::size_t n = live.size();
   if (n > 0) {
     std::vector<const float*> query_ptrs(n);
-    std::vector<IvfSearchParams> owned_params(n);
-    std::vector<const IvfSearchParams*> param_ptrs(n);
+    std::vector<SearchOptions> owned_params(n);
+    std::vector<const SearchOptions*> param_ptrs(n);
     std::vector<std::uint64_t> seeds(n);
     std::vector<Status> statuses(n);
     std::vector<std::vector<Neighbor>> results(n);
@@ -645,7 +658,7 @@ void SearchEngine::SchedulerLoop() {
   std::vector<QueuedQuery> batch;
   std::vector<QueuedQuery> shed;
   std::vector<const float*> query_ptrs;
-  std::vector<const IvfSearchParams*> param_ptrs;
+  std::vector<const SearchOptions*> param_ptrs;
   std::vector<std::uint64_t> seeds;
   std::vector<std::chrono::steady_clock::time_point> submit_times;
   std::vector<Status> statuses;

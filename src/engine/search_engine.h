@@ -44,6 +44,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <thread>
 #include <vector>
@@ -74,8 +75,6 @@ struct EngineConfig {
   std::size_t max_queue_depth = 16384;
   /// Base of the per-query seed derivation (see QuerySeed).
   std::uint64_t seed = 0x5EEDC0FFEE5EEDULL;
-  /// Default search parameters for SubmitAsync overloads without params.
-  IvfSearchParams default_params;
   /// Background compaction trigger: a list is rebuilt once its tombstone
   /// ratio (dead entries / entries) reaches this. <= 0 disables the
   /// background pass (CompactNow still works).
@@ -148,13 +147,13 @@ class SearchEngine {
   static std::uint64_t QuerySeed(std::uint64_t base, std::uint64_t ticket);
 
   /// Synchronous batched search -- the request-based core every other entry
-  /// point (single-query Search, SubmitAsync, the deprecated raw-pointer
-  /// shims) funnels into. responses->at(i) receives query i's outcome
-  /// (GLOBAL ids); a failed query reports through its own response.status
-  /// while the rest of the batch still executes, and the first per-query
-  /// error is also returned. Each request's options.seed is used verbatim
-  /// when set, else QuerySeed(config.seed, i). Filters ride in the options
-  /// and are pushed into the per-shard scans (see ShardedIndex).
+  /// point (single-query Search, SubmitAsync) funnels into.
+  /// responses->at(i) receives query i's outcome (GLOBAL ids); a failed
+  /// query reports through its own response.status while the rest of the
+  /// batch still executes, and the first per-query error is also returned.
+  /// Each request's options.seed is used verbatim when set, else
+  /// QuerySeed(config.seed, i). Filters ride in the options and are pushed
+  /// into the per-shard scans (see ShardedIndex).
   Status SearchBatch(const SearchRequest* requests, std::size_t num_requests,
                      std::vector<SearchResponse>* responses);
 
@@ -182,32 +181,6 @@ class SearchEngine {
   /// Idempotent; the destructor calls it. Synchronous entry points
   /// (SearchBatch / Search) keep working after a drain.
   void Drain();
-
-#ifndef RABITQ_NO_DEPRECATED
-  /// Legacy overload ladder, now thin shims over the request-based core
-  /// (definitions in search_compat.h; hidden by RABITQ_NO_DEPRECATED).
-  RABITQ_DEPRECATED("use SearchBatch(const SearchRequest*, ...)")
-  Status SearchBatch(const float* queries, std::size_t num_queries,
-                     const IvfSearchParams& params, std::uint64_t seed_base,
-                     std::vector<std::vector<Neighbor>>* results,
-                     IvfSearchStats* agg = nullptr);
-
-  RABITQ_DEPRECATED("use SearchBatch(const SearchRequest*, ...)")
-  Status SearchBatch(const float* queries, std::size_t num_queries,
-                     const IvfSearchParams& params,
-                     std::vector<std::vector<Neighbor>>* results,
-                     IvfSearchStats* agg = nullptr);
-
-  RABITQ_DEPRECATED("use SubmitAsync(const SearchRequest&)")
-  std::future<SearchResponse> SubmitAsync(const float* query,
-                                          const IvfSearchParams& params);
-  RABITQ_DEPRECATED("use SubmitAsync(const SearchRequest&) with options.seed")
-  std::future<SearchResponse> SubmitAsync(const float* query,
-                                          const IvfSearchParams& params,
-                                          std::uint64_t seed);
-  RABITQ_DEPRECATED("use SubmitAsync(const SearchRequest&)")
-  std::future<SearchResponse> SubmitAsync(const float* query);
-#endif  // RABITQ_NO_DEPRECATED
 
   /// Appends one vector (copied): reserves the next global id, then
   /// excludes search batches from ONLY the owning shard for the duration of
@@ -276,7 +249,7 @@ class SearchEngine {
   /// `infos` (length n) receives each query's scatter-gather degradation
   /// tallies (shards_ok / shards_failed / partial).
   void ExecuteBatch(const float* const* queries, std::size_t n,
-                    const IvfSearchParams* const* params,
+                    const SearchOptions* const* params,
                     const std::uint64_t* seeds,
                     const std::chrono::steady_clock::time_point* submit_times,
                     Status* statuses, std::vector<Neighbor>* results,
@@ -299,7 +272,7 @@ class SearchEngine {
   std::size_t bits_per_dim_;
   EngineConfig config_;
   std::size_t num_threads_;  // config_.num_threads resolved
-  ThreadPool pool_;          // num_threads_ - 1 workers (at least one)
+  std::optional<ThreadPool> pool_;  // num_threads_ - 1 workers; none at 1
 
   std::vector<std::unique_ptr<ShardSync>> sync_;  // one per shard
   std::atomic<std::uint64_t> epoch_{0};
@@ -351,9 +324,5 @@ class SearchEngine {
 };
 
 }  // namespace rabitq
-
-// Deprecated-overload shim definitions (see search_compat.h for the scheme).
-#define RABITQ_SEARCH_COMPAT_HAVE_ENGINE 1
-#include "index/search_compat.h"
 
 #endif  // RABITQ_ENGINE_SEARCH_ENGINE_H_

@@ -271,7 +271,7 @@ SearchResponse IvfRabitqIndex::Search(const SearchRequest& request) const {
 
 Status IvfRabitqIndex::SearchWithScratch(const float* query,
                                          const float* rotated_query,
-                                         const IvfSearchParams& params,
+                                         const SearchOptions& params,
                                          std::uint64_t seed,
                                          IvfSearchScratch* scratch,
                                          std::vector<Neighbor>* out,

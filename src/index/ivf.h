@@ -199,20 +199,6 @@ class IvfRabitqIndex {
   /// SearchEngine provides that coordination for serving workloads.
   SearchResponse Search(const SearchRequest& request) const;
 
-#ifndef RABITQ_NO_DEPRECATED
-  /// Legacy overloads, now thin shims over the request API (definitions in
-  /// search_compat.h). `rng` supplies the base seed via one NextU64 draw;
-  /// the seeded overload is the old spelling of options.seed.
-  RABITQ_DEPRECATED("use Search(const SearchRequest&)")
-  Status Search(const float* query, const IvfSearchParams& params, Rng* rng,
-                std::vector<Neighbor>* out, IvfSearchStats* stats = nullptr) const;
-
-  RABITQ_DEPRECATED("use Search(const SearchRequest&) with options.seed")
-  Status Search(const float* query, const IvfSearchParams& params,
-                std::uint64_t seed, std::vector<Neighbor>* out,
-                IvfSearchStats* stats = nullptr) const;
-#endif  // RABITQ_NO_DEPRECATED
-
   /// Search core with caller-owned workspace (the hot path of the serving
   /// engine). `rotated_query` optionally passes a precomputed P^T q
   /// (encoder().total_bits() floats, e.g. one row of the engine's batched
@@ -230,7 +216,7 @@ class IvfRabitqIndex {
   /// (see IdFilter::WithIdMap). `scratch` must be non-null and exclusive
   /// to this call for its duration.
   Status SearchWithScratch(const float* query, const float* rotated_query,
-                           const IvfSearchParams& params, std::uint64_t seed,
+                           const SearchOptions& params, std::uint64_t seed,
                            IvfSearchScratch* scratch,
                            std::vector<Neighbor>* out,
                            IvfSearchStats* stats = nullptr) const;
@@ -338,9 +324,5 @@ class IvfRabitqIndex {
 };
 
 }  // namespace rabitq
-
-// Deprecated-overload shim definitions (see search_compat.h for the scheme).
-#define RABITQ_SEARCH_COMPAT_HAVE_IVF 1
-#include "index/search_compat.h"
 
 #endif  // RABITQ_INDEX_IVF_H_

@@ -38,26 +38,7 @@
 #include "index/brute_force.h"
 #include "util/status.h"
 
-// Deprecation machinery for the legacy (pre-SearchRequest) overloads:
-//   * RABITQ_NO_DEPRECATED hides the compatibility shims entirely -- the
-//     escape hatch for consumers proving they are off the old API (see
-//     search_compat.h).
-//   * RABITQ_SUPPRESS_DEPRECATED keeps the shims but drops the
-//     [[deprecated]] attribute -- for TUs that deliberately exercise them
-//     (the old-vs-new parity tests).
-#if defined(RABITQ_SUPPRESS_DEPRECATED)
-#define RABITQ_DEPRECATED(msg)
-#else
-#define RABITQ_DEPRECATED(msg) [[deprecated(msg)]]
-#endif
-
 namespace rabitq {
-
-// Metric / MetricName / ValidateMetric / MetricDistance moved down to
-// core/metric.h (included above) when kInnerProduct and kCosine unlocked:
-// the estimator and query-preprocessing layers below this header now need
-// the enum too. Every existing `#include "index/search_types.h"` keeps
-// seeing the same names.
 
 enum class RerankPolicy {
   kErrorBound,       // paper Section 4, no tunable parameter
@@ -168,9 +149,7 @@ class IdFilter {
   const std::uint32_t* id_map_ = nullptr;
 };
 
-/// Everything tunable about one query. The flat pre-request parameter
-/// struct (IvfSearchParams) is now an alias of this type, so the engine's
-/// scratch plumbing and the request API share one options vocabulary.
+/// Everything tunable about one query.
 struct SearchOptions {
   std::size_t k = 100;
   std::size_t nprobe = 16;
@@ -222,10 +201,6 @@ struct SearchOptions {
     }
   }
 };
-
-/// Legacy spelling of SearchOptions, kept so existing call sites (and the
-/// scratch-level Search plumbing) keep compiling unchanged.
-using IvfSearchParams = SearchOptions;
 
 struct IvfSearchStats {
   std::size_t codes_estimated = 0;

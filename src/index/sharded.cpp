@@ -250,7 +250,7 @@ SearchResponse ShardedIndex::Search(const SearchRequest& request) const {
 
 Status ShardedIndex::SearchWithScratch(const float* query,
                                        const float* rotated_query,
-                                       const IvfSearchParams& params,
+                                       const SearchOptions& params,
                                        std::uint64_t seed,
                                        ShardedSearchScratch* scratch,
                                        std::vector<Neighbor>* out,
@@ -305,13 +305,13 @@ Status ShardedIndex::SearchWithScratch(const float* query,
 
 Status ShardedIndex::SearchShard(std::size_t shard, const float* query,
                                  const float* rotated_query,
-                                 const IvfSearchParams& params,
+                                 const SearchOptions& params,
                                  std::uint64_t seed, IvfSearchScratch* scratch,
                                  std::vector<Neighbor>* out,
                                  IvfSearchStats* stats) const {
   RABITQ_FAILPOINT("sharded.search_shard",
                    return Status::Internal("injected shard failure"));
-  IvfSearchParams shard_params = params;
+  SearchOptions shard_params = params;
   if (params.policy == RerankPolicy::kFixedCandidates) {
     // Gather estimates only; the merge selects the globally best
     // max(k, R) of them and re-ranks exactly -- a budget split
@@ -333,7 +333,7 @@ Status ShardedIndex::SearchShard(std::size_t shard, const float* query,
 }
 
 Status ShardedIndex::MergeShardResults(const float* query,
-                                       const IvfSearchParams& params,
+                                       const SearchOptions& params,
                                        const std::vector<Neighbor>* shard_results,
                                        const IvfSearchStats* shard_stats,
                                        ShardedSearchScratch* scratch,
@@ -354,7 +354,7 @@ Status ShardedIndex::MergeShardResults(const float* query,
   bool any_deadline = false;
   Status first_failure = Status::Ok();
   const auto hard_failed = [&](std::size_t s) {
-    return shard_statuses != nullptr && !shard_statuses[s].ok() &&
+    return !shard_statuses[s].ok() &&
            shard_statuses[s].code() != StatusCode::kDeadlineExceeded;
   };
   for (std::size_t s = 0; s < S; ++s) {
@@ -364,8 +364,7 @@ Status ShardedIndex::MergeShardResults(const float* query,
       if (first_failure.ok()) first_failure = shard_statuses[s];
     } else {
       ++local_info.shards_ok;
-      if (shard_statuses != nullptr &&
-          shard_statuses[s].code() == StatusCode::kDeadlineExceeded) {
+      if (shard_statuses[s].code() == StatusCode::kDeadlineExceeded) {
         any_deadline = true;
         local_info.partial = true;
       }
@@ -391,10 +390,8 @@ Status ShardedIndex::MergeShardResults(const float* query,
             });
 
   IvfSearchStats agg;
-  if (shard_stats != nullptr) {
-    for (std::size_t s = 0; s < S; ++s) {
-      if (!hard_failed(s)) agg += shard_stats[s];
-    }
+  for (std::size_t s = 0; s < S; ++s) {
+    if (!hard_failed(s)) agg += shard_stats[s];
   }
 
   if (params.policy == RerankPolicy::kFixedCandidates) {

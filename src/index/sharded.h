@@ -167,15 +167,6 @@ class ShardedIndex {
   /// request); options.seed unset means seed 0.
   SearchResponse Search(const SearchRequest& request) const;
 
-#ifndef RABITQ_NO_DEPRECATED
-  /// Legacy overload, now a thin shim over the request API (definition in
-  /// search_compat.h).
-  RABITQ_DEPRECATED("use Search(const SearchRequest&) with options.seed")
-  Status Search(const float* query, const IvfSearchParams& params,
-                std::uint64_t seed, std::vector<Neighbor>* out,
-                IvfSearchStats* stats = nullptr) const;
-#endif  // RABITQ_NO_DEPRECATED
-
   /// Search core with caller-owned workspace (see IvfRabitqIndex contract).
   /// Shard failures are ISOLATED: a shard that fails hard contributes
   /// nothing to the merge, a shard that trips params.deadline contributes
@@ -185,7 +176,7 @@ class ShardedIndex {
   /// (merged results are still written), and the first shard error only
   /// when EVERY shard failed hard.
   Status SearchWithScratch(const float* query, const float* rotated_query,
-                           const IvfSearchParams& params, std::uint64_t seed,
+                           const SearchOptions& params, std::uint64_t seed,
                            ShardedSearchScratch* scratch,
                            std::vector<Neighbor>* out,
                            IvfSearchStats* stats = nullptr,
@@ -202,28 +193,27 @@ class ShardedIndex {
   /// (nprobe-aware partial probe ordering, the fused estimate+prune
   /// kernel), so the scatter cost scales with nprobe, not num_lists.
   Status SearchShard(std::size_t shard, const float* query,
-                     const float* rotated_query, const IvfSearchParams& params,
+                     const float* rotated_query, const SearchOptions& params,
                      std::uint64_t seed, IvfSearchScratch* scratch,
                      std::vector<Neighbor>* out, IvfSearchStats* stats) const;
 
   /// Gather half: merges num_shards() consecutive per-shard result vectors
   /// (local ids, from SearchShard) into the global top-k. For
   /// kFixedCandidates this selects the globally best max(k, R) estimates
-  /// and re-ranks them exactly. `shard_stats` (optional, num_shards()
-  /// entries) is aggregated into `*stats` along with the merge's re-ranks.
-  /// `shard_statuses` (optional, num_shards() entries) enables per-shard
-  /// degradation: a hard-failed shard's results and stats are EXCLUDED from
-  /// the merge, a kDeadlineExceeded shard's partial results are included;
-  /// `*info` reports shards_ok/shards_failed/partial. The returned status
-  /// follows the SearchWithScratch contract above. Null shard_statuses
-  /// means every shard succeeded (the legacy all-or-nothing callers).
-  Status MergeShardResults(const float* query, const IvfSearchParams& params,
+  /// and re-ranks them exactly. `shard_stats` (num_shards() entries) is
+  /// aggregated into `*stats` (optional) along with the merge's re-ranks.
+  /// `shard_statuses` (num_shards() entries) drives per-shard degradation:
+  /// a hard-failed shard's results and stats are EXCLUDED from the merge, a
+  /// kDeadlineExceeded shard's partial results are included; `*info`
+  /// (optional) reports shards_ok/shards_failed/partial. The returned
+  /// status follows the SearchWithScratch contract above.
+  Status MergeShardResults(const float* query, const SearchOptions& params,
                            const std::vector<Neighbor>* shard_results,
                            const IvfSearchStats* shard_stats,
                            ShardedSearchScratch* scratch,
                            std::vector<Neighbor>* out,
                            IvfSearchStats* stats,
-                           const Status* shard_statuses = nullptr,
+                           const Status* shard_statuses,
                            ShardMergeInfo* info = nullptr) const;
 
   /// Appends one vector: ReserveId + CompleteAdd (single-writer callers).
@@ -285,9 +275,5 @@ class ShardedIndex {
 };
 
 }  // namespace rabitq
-
-// Deprecated-overload shim definitions (see search_compat.h for the scheme).
-#define RABITQ_SEARCH_COMPAT_HAVE_SHARDED 1
-#include "index/search_compat.h"
 
 #endif  // RABITQ_INDEX_SHARDED_H_

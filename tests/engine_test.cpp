@@ -9,8 +9,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <future>
+#include <iterator>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -77,19 +80,35 @@ class EngineTestFixture : public ::testing::Test {
   // the same per-query seed stream the engine uses.
   std::vector<std::vector<Neighbor>> SequentialReference(
       const IvfRabitqIndex& index) {
+    const std::vector<SearchRequest> requests =
+        Requests(kNumQueries, params_, kSeedBase);
     std::vector<std::vector<Neighbor>> ref(kNumQueries);
     for (std::size_t i = 0; i < kNumQueries; ++i) {
-      EXPECT_TRUE(index
-                      .Search(queries_.Row(i), params_,
-                              SearchEngine::QuerySeed(kSeedBase, i), &ref[i])
-                      .ok());
+      SearchResponse response = index.Search(requests[i]);
+      EXPECT_TRUE(response.ok());
+      ref[i] = std::move(response.neighbors);
     }
     return ref;
   }
 
+  // Requests for the first n queries, query i seeded QuerySeed(seed_base, i)
+  // when seed_base is set and left to the engine's auto-seed otherwise.
+  std::vector<SearchRequest> Requests(
+      std::size_t n, const SearchOptions& options,
+      std::optional<std::uint64_t> seed_base) const {
+    std::vector<SearchRequest> requests(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      requests[i] = {queries_.Row(i), options};
+      if (seed_base) {
+        requests[i].options.seed = SearchEngine::QuerySeed(*seed_base, i);
+      }
+    }
+    return requests;
+  }
+
   Matrix data_;
   Matrix queries_;
-  IvfSearchParams params_;
+  SearchOptions params_;
 };
 
 TEST_F(EngineTestFixture, SearchBatchMatchesSequentialSearch) {
@@ -99,15 +118,15 @@ TEST_F(EngineTestFixture, SearchBatchMatchesSequentialSearch) {
   EngineConfig config;
   config.num_threads = 4;
   SearchEngine engine(std::move(index), config);
-  std::vector<std::vector<Neighbor>> results;
+  const auto requests = Requests(kNumQueries, params_, kSeedBase);
+  std::vector<SearchResponse> responses;
+  ASSERT_TRUE(
+      engine.SearchBatch(requests.data(), kNumQueries, &responses).ok());
+  ASSERT_EQ(responses.size(), kNumQueries);
   IvfSearchStats agg;
-  ASSERT_TRUE(engine
-                  .SearchBatch(queries_.data(), kNumQueries, params_,
-                               kSeedBase, &results, &agg)
-                  .ok());
-  ASSERT_EQ(results.size(), kNumQueries);
   for (std::size_t i = 0; i < kNumQueries; ++i) {
-    ExpectSameNeighbors(results[i], reference[i]);
+    ExpectSameNeighbors(responses[i].neighbors, reference[i]);
+    agg += responses[i].stats;
   }
   EXPECT_GT(agg.codes_estimated, 0u);
   EXPECT_GT(agg.lists_probed, 0u);
@@ -118,19 +137,15 @@ TEST_F(EngineTestFixture, BatchSizeOneMatchesSequentialSearch) {
   const auto reference = SequentialReference(index);
   SearchEngine engine(std::move(index));
   for (std::size_t i = 0; i < 5; ++i) {
-    std::vector<std::vector<Neighbor>> results;
-    ASSERT_TRUE(engine
-                    .SearchBatch(queries_.Row(i), 1, params_,
-                                 /*seed_base=*/0, &results)
-                    .ok());
-    // Seed parity: batch index 0 under base QuerySeed must replay query i's
-    // sequential seed, so search with the matching explicit stream.
-    std::vector<Neighbor> ref;
-    ASSERT_TRUE(engine.index()
-                    .Search(queries_.Row(i), params_,
-                            SearchEngine::QuerySeed(0, 0), &ref)
-                    .ok());
-    ExpectSameNeighbors(results[0], ref);
+    SearchRequest request{queries_.Row(i), params_};
+    request.options.seed = SearchEngine::QuerySeed(0, 0);
+    std::vector<SearchResponse> responses;
+    ASSERT_TRUE(engine.SearchBatch(&request, 1, &responses).ok());
+    // Seed parity: the batch of one must replay the sequential search at
+    // the same seed.
+    const SearchResponse ref = engine.index().Search(request);
+    ASSERT_TRUE(ref.ok());
+    ExpectSameNeighbors(responses[0].neighbors, ref.neighbors);
   }
 }
 
@@ -203,7 +218,7 @@ TEST_F(EngineTestFixture, MultiThreadedStressMatchesSequentialSearch) {
 
   constexpr std::size_t kProducers = 4;
   constexpr std::size_t kRounds = 3;  // every producer submits all queries
-  std::vector<std::vector<std::future<EngineResult>>> futures(
+  std::vector<std::vector<std::future<SearchResponse>>> futures(
       kProducers * kRounds);
   std::vector<std::thread> producers;
   for (std::size_t p = 0; p < kProducers; ++p) {
@@ -214,9 +229,9 @@ TEST_F(EngineTestFixture, MultiThreadedStressMatchesSequentialSearch) {
         for (std::size_t i = 0; i < kNumQueries; ++i) {
           // Explicit per-query seeds: results must not depend on how the
           // scheduler batches the interleaved submissions.
-          slot.push_back(engine.SubmitAsync(
-              queries_.Row(i), params_,
-              SearchEngine::QuerySeed(kSeedBase, i)));
+          SearchRequest request{queries_.Row(i), params_};
+          request.options.seed = SearchEngine::QuerySeed(kSeedBase, i);
+          slot.push_back(engine.SubmitAsync(request));
         }
       }
     });
@@ -224,7 +239,7 @@ TEST_F(EngineTestFixture, MultiThreadedStressMatchesSequentialSearch) {
   for (auto& t : producers) t.join();
   for (std::size_t s = 0; s < futures.size(); ++s) {
     for (std::size_t i = 0; i < kNumQueries; ++i) {
-      EngineResult result = futures[s][i].get();
+      SearchResponse result = futures[s][i].get();
       ASSERT_TRUE(result.status.ok()) << result.status.ToString();
       ExpectSameNeighbors(result.neighbors, reference[i]);
     }
@@ -244,20 +259,21 @@ TEST_F(EngineTestFixture, ConcurrentSearchBatchCallers) {
   SearchEngine engine(std::move(index), config);
 
   constexpr std::size_t kCallers = 4;
+  const auto requests = Requests(kNumQueries, params_, kSeedBase);
   std::vector<Status> statuses(kCallers);
-  std::vector<std::vector<std::vector<Neighbor>>> results(kCallers);
+  std::vector<std::vector<SearchResponse>> responses(kCallers);
   std::vector<std::thread> callers;
   for (std::size_t c = 0; c < kCallers; ++c) {
     callers.emplace_back([&, c] {
-      statuses[c] = engine.SearchBatch(queries_.data(), kNumQueries, params_,
-                                       kSeedBase, &results[c]);
+      statuses[c] =
+          engine.SearchBatch(requests.data(), kNumQueries, &responses[c]);
     });
   }
   for (auto& t : callers) t.join();
   for (std::size_t c = 0; c < kCallers; ++c) {
     ASSERT_TRUE(statuses[c].ok()) << statuses[c].ToString();
     for (std::size_t i = 0; i < kNumQueries; ++i) {
-      ExpectSameNeighbors(results[c][i], reference[i]);
+      ExpectSameNeighbors(responses[c][i].neighbors, reference[i]);
     }
   }
 }
@@ -276,8 +292,8 @@ TEST_F(EngineTestFixture, ConcurrentInsertAndSearch) {
     searchers.emplace_back([&, t] {
       std::size_t i = t;
       while (!stop.load(std::memory_order_relaxed)) {
-        EngineResult result =
-            engine.SubmitAsync(queries_.Row(i % kNumQueries), params_).get();
+        SearchResponse result =
+            engine.SubmitAsync({queries_.Row(i % kNumQueries), params_}).get();
         ASSERT_TRUE(result.status.ok()) << result.status.ToString();
         ASSERT_FALSE(result.neighbors.empty());
         searches_served.fetch_add(1, std::memory_order_relaxed);
@@ -308,12 +324,12 @@ TEST_F(EngineTestFixture, ConcurrentInsertAndSearch) {
   EXPECT_GT(searches_served.load(), 0u);
 
   // Every inserted vector is now its own nearest neighbor at full probe.
-  IvfSearchParams full = params_;
+  SearchOptions full = params_;
   full.k = 1;
   full.nprobe = engine.index().num_lists();
   for (std::size_t i = 0; i < kInserts; ++i) {
-    EngineResult result =
-        engine.SubmitAsync(new_vectors.Row(i), full).get();
+    SearchResponse result =
+        engine.SubmitAsync({new_vectors.Row(i), full}).get();
     ASSERT_TRUE(result.status.ok());
     ASSERT_EQ(result.neighbors.size(), 1u);
     EXPECT_EQ(result.neighbors[0].second, inserted_ids[i]);
@@ -323,10 +339,10 @@ TEST_F(EngineTestFixture, ConcurrentInsertAndSearch) {
 
 TEST_F(EngineTestFixture, StatsAccumulateAndReset) {
   SearchEngine engine(BuildIndex(data_, 16));
-  std::vector<std::vector<Neighbor>> results;
+  const auto requests = Requests(kNumQueries, params_, std::nullopt);
+  std::vector<SearchResponse> responses;
   ASSERT_TRUE(
-      engine.SearchBatch(queries_.data(), kNumQueries, params_, &results)
-          .ok());
+      engine.SearchBatch(requests.data(), kNumQueries, &responses).ok());
   EngineStatsSnapshot stats = engine.Stats();
   EXPECT_EQ(stats.queries, kNumQueries);
   EXPECT_EQ(stats.batches, 1u);
@@ -345,23 +361,23 @@ TEST_F(EngineTestFixture, StatsAccumulateAndReset) {
 
 TEST_F(EngineTestFixture, PerQueryErrorsPropagateWithoutPoisoningBatch) {
   SearchEngine engine(BuildIndex(data_, 16));
-  IvfSearchParams bad = params_;
+  SearchOptions bad = params_;
   bad.k = 0;  // rejected by the search path
-  std::future<EngineResult> bad_future =
-      engine.SubmitAsync(queries_.Row(0), bad);
-  std::future<EngineResult> good_future =
-      engine.SubmitAsync(queries_.Row(1), params_);
+  std::future<SearchResponse> bad_future =
+      engine.SubmitAsync({queries_.Row(0), bad});
+  std::future<SearchResponse> good_future =
+      engine.SubmitAsync({queries_.Row(1), params_});
   EXPECT_FALSE(bad_future.get().status.ok());
-  EngineResult good = good_future.get();
+  SearchResponse good = good_future.get();
   EXPECT_TRUE(good.status.ok()) << good.status.ToString();
   EXPECT_FALSE(good.neighbors.empty());
   EXPECT_EQ(engine.Stats().search_errors, 1u);
 
   // Sync batch: first error is returned, healthy queries still answered.
-  std::vector<std::vector<Neighbor>> results;
-  EXPECT_FALSE(
-      engine.SearchBatch(queries_.data(), 2, bad, &results).ok());
-  ASSERT_EQ(results.size(), 2u);
+  const auto requests = Requests(2, bad, std::nullopt);
+  std::vector<SearchResponse> responses;
+  EXPECT_FALSE(engine.SearchBatch(requests.data(), 2, &responses).ok());
+  ASSERT_EQ(responses.size(), 2u);
 }
 
 // An exception thrown inside an async batch (here by the request's own
@@ -386,6 +402,36 @@ TEST_F(EngineTestFixture, AsyncSearchExceptionFailsItsFutureAndKeepsServing) {
   ASSERT_TRUE(async.ok()) << async.status.ToString();
   ASSERT_TRUE(sync.ok()) << sync.status.ToString();
   ExpectSameNeighbors(async.neighbors, sync.neighbors);
+
+  // Both throwing batches count as failed queries in the stats.
+  const EngineStatsSnapshot stats = engine.Stats();
+  EXPECT_EQ(stats.queries, 4u);
+  EXPECT_EQ(stats.batches, 4u);
+  EXPECT_EQ(stats.search_errors, 2u);
+}
+
+// An engine starts the async scheduler, the compactor and num_threads - 1
+// pool workers: the batch's own thread is the remaining executor, so a
+// one-thread engine has no pool at all.
+TEST_F(EngineTestFixture, StartsOnePoolWorkerPerExtraThread) {
+  const std::filesystem::path tasks = "/proc/self/task";
+  if (!std::filesystem::exists(tasks)) {
+    GTEST_SKIP() << "no /proc/self/task to count threads in";
+  }
+  const auto count_threads = [&] {
+    return static_cast<std::size_t>(
+        std::distance(std::filesystem::directory_iterator(tasks),
+                      std::filesystem::directory_iterator()));
+  };
+  for (const std::size_t num_threads : {1, 2}) {
+    IvfRabitqIndex index = BuildIndex(data_, 16);
+    const std::size_t before = count_threads();
+    EngineConfig config;
+    config.num_threads = num_threads;
+    SearchEngine engine(std::move(index), config);
+    EXPECT_EQ(count_threads() - before, num_threads + 1)
+        << "num_threads = " << num_threads;
+  }
 }
 
 TEST(EngineTest, QuerySeedStreamIsStable) {

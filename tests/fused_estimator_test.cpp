@@ -1,11 +1,12 @@
 // The fused SIMD estimate pipeline:
-//   * the AVX2+FMA block assembly (EstimateBlockFused) is bit-identical to
-//     its scalar reference across dims, code widths, non-multiple-of-8/32
-//     tails, the B_q sweep, and the dist_to_centroid == 0 / q_dist == 0
-//     edge cases;
-//   * the in-kernel pruning variant returns exactly the survivors of the
-//     per-lane rule "real, live lane with !(lb > threshold)" (tombstone
-//     masks, tail lanes, threshold semantics included);
+//   * the AVX2+FMA block kernel (EstimateBlockFusedPruned), run with pruning
+//     off (threshold +inf, no tombstones), is bit-identical to its scalar
+//     reference (EstimateBlockFusedPrunedScalar) and to the single-code
+//     path across dims, code widths, non-multiple-of-8/32 tails, the B_q
+//     sweep, and the dist_to_centroid == 0 / q_dist == 0 edge cases;
+//   * with pruning on, both return exactly the survivors of the per-lane
+//     rule "real, live lane with !(lb > threshold)" (tombstone masks, tail
+//     lanes, threshold semantics included);
 //   * the per-code factors (f_sq/f_cross/f_inv_oo/f_err) computed at append
 //     time survive every code-creation path bit-for-bit: FinalizeAppend,
 //     CompactInto, and snapshot Load (v1 golden file and a v2 round trip --
@@ -33,6 +34,9 @@
 
 namespace rabitq {
 namespace {
+
+// The fused kernels' no-prune threshold.
+constexpr float kNoPrune = std::numeric_limits<float>::infinity();
 
 std::vector<float> RandomVec(std::size_t dim, Rng* rng, float scale = 1.0f) {
   std::vector<float> v(dim);
@@ -111,9 +115,10 @@ void ExpectFusedMatchesScalar(const Workload& w, const QuantizedQuery& qq,
                             qq.luts.data(), sums);
     float fused_d[kFastScanBlockSize], fused_lb[kFastScanBlockSize];
     float ref_d[kFastScanBlockSize], ref_lb[kFastScanBlockSize];
-    EstimateBlockFused(qq, w.store, block, sums, epsilon0, fused_d, fused_lb);
-    EstimateBlockFusedScalar(qq, w.store, block, sums, epsilon0, ref_d,
-                             ref_lb);
+    EstimateBlockFusedPruned(qq, w.store, block, sums, epsilon0, kNoPrune,
+                             nullptr, fused_d, fused_lb);
+    EstimateBlockFusedPrunedScalar(qq, w.store, block, sums, epsilon0,
+                                   kNoPrune, nullptr, ref_d, ref_lb);
     const std::size_t begin = block * kFastScanBlockSize;
     const std::size_t count =
         std::min(kFastScanBlockSize, w.store.size() - begin);
@@ -184,7 +189,8 @@ TEST(FusedEstimatorTest, FusedHandlesDegenerateQueryAndCode) {
   FastScanAccumulateBlock(packed.BlockPtr(0), packed.num_segments,
                           qq.luts.data(), sums);
   float d[kFastScanBlockSize], lb[kFastScanBlockSize];
-  EstimateBlockFused(qq, w.store, 0, sums, 1.9f, d, lb);
+  EstimateBlockFusedPruned(qq, w.store, 0, sums, 1.9f, kNoPrune, nullptr, d,
+                           lb);
   EXPECT_EQ(d[0], 0.0f);  // code 0: d == 0 AND q_dist == 0
   EXPECT_EQ(d[1], w.store.f_sq_data()[1]);
   EXPECT_EQ(lb[1], w.store.f_sq_data()[1]);
@@ -197,7 +203,8 @@ TEST(FusedEstimatorTest, FusedHandlesDegenerateQueryAndCode) {
   ExpectFusedMatchesScalar(w, qq2, 1.9f);
   FastScanAccumulateBlock(packed.BlockPtr(0), packed.num_segments,
                           qq2.luts.data(), sums);
-  EstimateBlockFused(qq2, w.store, 0, sums, 1.9f, d, lb);
+  EstimateBlockFusedPruned(qq2, w.store, 0, sums, 1.9f, kNoPrune, nullptr, d,
+                           lb);
   EXPECT_EQ(d[0], qq2.q_dist * qq2.q_dist);
   EXPECT_EQ(lb[0], qq2.q_dist * qq2.q_dist);
 }
@@ -226,7 +233,8 @@ TEST(FusedEstimatorTest, PrunedVariantMatchesScalarAndUnfusedSelection) {
       // Reference lower bounds pick plausible thresholds: min, a mid value,
       // max, and the no-prune FLT_MAX sentinel.
       float ref_d[kFastScanBlockSize], ref_lb[kFastScanBlockSize];
-      EstimateBlockFusedScalar(qq, w.store, block, sums, 1.9f, ref_d, ref_lb);
+      EstimateBlockFusedPrunedScalar(qq, w.store, block, sums, 1.9f, kNoPrune,
+                                     nullptr, ref_d, ref_lb);
       const float lo = *std::min_element(ref_lb, ref_lb + count);
       const float hi = *std::max_element(ref_lb, ref_lb + count);
       const float thresholds[] = {lo, (lo + hi) / 2, hi, FLT_MAX};
@@ -292,8 +300,7 @@ TEST(FusedEstimatorTest, InfiniteLowerBoundSurvivesInfinityThreshold) {
                           store.packed().num_segments, qq.luts.data(), sums);
   float d[kFastScanBlockSize], lb[kFastScanBlockSize];
   const std::uint32_t all = EstimateBlockFusedPruned(
-      qq, store, 0, sums, 1.9f, std::numeric_limits<float>::infinity(),
-      nullptr, d, lb);
+      qq, store, 0, sums, 1.9f, kNoPrune, nullptr, d, lb);
   // The overflowed lane's bound is non-finite (+inf, or NaN when the fma
   // collapses inf - inf); either way a filling heap must re-rank it, so
   // the +inf sentinel must keep it.

@@ -42,15 +42,16 @@ TEST(IntegrationTest, IvfRabitqEndToEndRecall) {
   ASSERT_TRUE(index.Build(p.base, ivf, RabitqConfig{}).ok());
 
   Rng rng(1);
-  IvfSearchParams params;
+  SearchOptions params;
   params.k = 10;
   params.nprobe = 32;
   double recall = 0.0, ratio = 0.0;
   for (std::size_t q = 0; q < p.queries.rows(); ++q) {
-    std::vector<Neighbor> result;
-    ASSERT_TRUE(index.Search(p.queries.Row(q), params, &rng, &result).ok());
-    recall += RecallAtK(p.gt, q, result, 10);
-    ratio += AverageDistanceRatio(p.gt, q, result, 10);
+    params.seed = rng.NextU64();
+    const SearchResponse result = index.Search({p.queries.Row(q), params});
+    ASSERT_TRUE(result.ok());
+    recall += RecallAtK(p.gt, q, result.neighbors, 10);
+    ratio += AverageDistanceRatio(p.gt, q, result.neighbors, 10);
   }
   recall /= p.queries.rows();
   ratio /= p.queries.rows();
@@ -191,25 +192,24 @@ TEST(IntegrationTest, ErrorBoundRerankMatchesFullRerankQuality) {
   ivf.num_lists = 64;
   ASSERT_TRUE(index.Build(p.base, ivf, RabitqConfig{}).ok());
 
-  IvfSearchParams bound_params;
+  SearchOptions bound_params;
   bound_params.k = 100;
   bound_params.nprobe = 64;
-  IvfSearchParams fixed_params = bound_params;
+  SearchOptions fixed_params = bound_params;
   fixed_params.policy = RerankPolicy::kFixedCandidates;
   fixed_params.rerank_candidates = 2500;
 
   double bound_recall = 0.0, fixed_recall = 0.0;
   std::size_t bound_reranked = 0;
   for (std::size_t q = 0; q < p.queries.rows(); ++q) {
-    Rng rng_a(300 + q), rng_b(300 + q);
-    std::vector<Neighbor> rb, rf;
-    IvfSearchStats stats;
-    ASSERT_TRUE(
-        index.Search(p.queries.Row(q), bound_params, &rng_a, &rb, &stats).ok());
-    ASSERT_TRUE(index.Search(p.queries.Row(q), fixed_params, &rng_b, &rf).ok());
-    bound_recall += RecallAtK(p.gt, q, rb, 100);
-    fixed_recall += RecallAtK(p.gt, q, rf, 100);
-    bound_reranked += stats.candidates_reranked;
+    bound_params.seed = fixed_params.seed = Rng(300 + q).NextU64();
+    const SearchResponse rb = index.Search({p.queries.Row(q), bound_params});
+    const SearchResponse rf = index.Search({p.queries.Row(q), fixed_params});
+    ASSERT_TRUE(rb.ok());
+    ASSERT_TRUE(rf.ok());
+    bound_recall += RecallAtK(p.gt, q, rb.neighbors, 100);
+    fixed_recall += RecallAtK(p.gt, q, rf.neighbors, 100);
+    bound_reranked += rb.stats.candidates_reranked;
   }
   bound_recall /= p.queries.rows();
   fixed_recall /= p.queries.rows();
@@ -233,15 +233,17 @@ TEST(IntegrationTest, HnswAndIvfRabitqAgreeOnNeighbors) {
   ASSERT_TRUE(hnsw.Build(p.base, hnsw_config).ok());
 
   Rng rng(4);
-  IvfSearchParams params;
+  SearchOptions params;
   params.k = 10;
   params.nprobe = 32;
   for (std::size_t q = 0; q < p.queries.rows(); ++q) {
-    std::vector<Neighbor> ivf_result, hnsw_result;
-    ASSERT_TRUE(
-        ivf_index.Search(p.queries.Row(q), params, &rng, &ivf_result).ok());
+    params.seed = rng.NextU64();
+    const SearchResponse ivf_result =
+        ivf_index.Search({p.queries.Row(q), params});
+    ASSERT_TRUE(ivf_result.ok());
+    std::vector<Neighbor> hnsw_result;
     ASSERT_TRUE(hnsw.Search(p.queries.Row(q), 10, 200, &hnsw_result).ok());
-    const double ivf_recall = RecallAtK(p.gt, q, ivf_result, 10);
+    const double ivf_recall = RecallAtK(p.gt, q, ivf_result.neighbors, 10);
     const double hnsw_recall = RecallAtK(p.gt, q, hnsw_result, 10);
     EXPECT_GE(ivf_recall, 0.7) << "query " << q;
     EXPECT_GE(hnsw_recall, 0.7) << "query " << q;

@@ -106,25 +106,28 @@ TEST_F(IvfTestFixture, FullProbeErrorBoundRecallIsNearPerfect) {
   // Probing every list with error-bound re-ranking must find essentially
   // all true neighbors (misses only when the bound fails, prob ~ 1e-3).
   Rng rng(1);
-  IvfSearchParams params;
+  SearchOptions params;
   params.k = 10;
   params.nprobe = index_.num_lists();
   double recall = 0.0;
   for (std::size_t q = 0; q < queries_.rows(); ++q) {
-    std::vector<Neighbor> result;
-    ASSERT_TRUE(index_.Search(queries_.Row(q), params, &rng, &result).ok());
-    recall += RecallAtK(gt_, q, result, 10);
+    params.seed = rng.NextU64();
+    const SearchResponse result = index_.Search({queries_.Row(q), params});
+    ASSERT_TRUE(result.ok());
+    recall += RecallAtK(gt_, q, result.neighbors, 10);
   }
   EXPECT_GE(recall / queries_.rows(), 0.99);
 }
 
 TEST_F(IvfTestFixture, ExactDistancesReturnedAfterRerank) {
   Rng rng(2);
-  IvfSearchParams params;
+  SearchOptions params;
   params.k = 5;
   params.nprobe = index_.num_lists();
-  std::vector<Neighbor> result;
-  ASSERT_TRUE(index_.Search(queries_.Row(0), params, &rng, &result).ok());
+  params.seed = rng.NextU64();
+  const SearchResponse response = index_.Search({queries_.Row(0), params});
+  ASSERT_TRUE(response.ok());
+  const std::vector<Neighbor>& result = response.neighbors;
   for (const auto& [dist, id] : result) {
     EXPECT_FLOAT_EQ(dist,
                     L2SqrDistance(queries_.Row(0), data_.Row(id), kDim));
@@ -137,13 +140,13 @@ TEST_F(IvfTestFixture, ExactDistancesReturnedAfterRerank) {
 
 TEST_F(IvfTestFixture, ErrorBoundPrunesMostCandidates) {
   Rng rng(3);
-  IvfSearchParams params;
+  SearchOptions params;
   params.k = 10;
   params.nprobe = index_.num_lists();
-  IvfSearchStats stats;
-  std::vector<Neighbor> result;
-  ASSERT_TRUE(
-      index_.Search(queries_.Row(0), params, &rng, &result, &stats).ok());
+  params.seed = rng.NextU64();
+  const SearchResponse response = index_.Search({queries_.Row(0), params});
+  ASSERT_TRUE(response.ok());
+  const IvfSearchStats& stats = response.stats;
   EXPECT_EQ(stats.codes_estimated, kN);
   EXPECT_LT(stats.candidates_reranked, kN / 2)
       << "the bound should prune the bulk of the candidates";
@@ -152,55 +155,56 @@ TEST_F(IvfTestFixture, ErrorBoundPrunesMostCandidates) {
 
 TEST_F(IvfTestFixture, FixedCandidatePolicyWorksAndObeysBudget) {
   Rng rng(4);
-  IvfSearchParams params;
+  SearchOptions params;
   params.k = 10;
   params.nprobe = index_.num_lists();
   params.policy = RerankPolicy::kFixedCandidates;
   params.rerank_candidates = 200;
-  IvfSearchStats stats;
   double recall = 0.0;
   for (std::size_t q = 0; q < queries_.rows(); ++q) {
-    std::vector<Neighbor> result;
-    ASSERT_TRUE(
-        index_.Search(queries_.Row(q), params, &rng, &result, &stats).ok());
-    EXPECT_LE(stats.candidates_reranked, 200u);
-    recall += RecallAtK(gt_, q, result, 10);
+    params.seed = rng.NextU64();
+    const SearchResponse result = index_.Search({queries_.Row(q), params});
+    ASSERT_TRUE(result.ok());
+    EXPECT_LE(result.stats.candidates_reranked, 200u);
+    recall += RecallAtK(gt_, q, result.neighbors, 10);
   }
   EXPECT_GE(recall / queries_.rows(), 0.9);
 }
 
 TEST_F(IvfTestFixture, NoRerankPolicyReturnsEstimates) {
   Rng rng(5);
-  IvfSearchParams params;
+  SearchOptions params;
   params.k = 10;
   params.nprobe = index_.num_lists();
   params.policy = RerankPolicy::kNone;
-  std::vector<Neighbor> result;
-  ASSERT_TRUE(index_.Search(queries_.Row(0), params, &rng, &result).ok());
-  ASSERT_EQ(result.size(), 10u);
+  params.seed = rng.NextU64();
+  const SearchResponse result = index_.Search({queries_.Row(0), params});
+  ASSERT_TRUE(result.ok());
+  ASSERT_EQ(result.neighbors.size(), 10u);
   // Estimated distances are not exact, but ids should still be decent:
   // recall without rerank is lower yet far from random.
-  const double recall = RecallAtK(gt_, 0, result, 10);
+  const double recall = RecallAtK(gt_, 0, result.neighbors, 10);
   EXPECT_GE(recall, 0.3);
 }
 
 TEST_F(IvfTestFixture, SmallerEpsilonLowersRecallFloor) {
   // eps0 = 0 prunes aggressively (bound = estimate): recall drops relative
   // to eps0 = 1.9 (Fig. 5's left edge).
-  IvfSearchParams tight;
+  SearchOptions tight;
   tight.k = 10;
   tight.nprobe = index_.num_lists();
   tight.epsilon0_override = 0.0f;
-  IvfSearchParams loose = tight;
+  SearchOptions loose = tight;
   loose.epsilon0_override = 1.9f;
   double recall_tight = 0.0, recall_loose = 0.0;
   for (std::size_t q = 0; q < queries_.rows(); ++q) {
-    Rng rng_a(200 + q), rng_b(200 + q);
-    std::vector<Neighbor> rt, rl;
-    ASSERT_TRUE(index_.Search(queries_.Row(q), tight, &rng_a, &rt).ok());
-    ASSERT_TRUE(index_.Search(queries_.Row(q), loose, &rng_b, &rl).ok());
-    recall_tight += RecallAtK(gt_, q, rt, 10);
-    recall_loose += RecallAtK(gt_, q, rl, 10);
+    tight.seed = loose.seed = Rng(200 + q).NextU64();
+    const SearchResponse rt = index_.Search({queries_.Row(q), tight});
+    const SearchResponse rl = index_.Search({queries_.Row(q), loose});
+    ASSERT_TRUE(rt.ok());
+    ASSERT_TRUE(rl.ok());
+    recall_tight += RecallAtK(gt_, q, rt.neighbors, 10);
+    recall_loose += RecallAtK(gt_, q, rl.neighbors, 10);
   }
   EXPECT_GT(recall_loose, recall_tight);
 }
@@ -213,14 +217,10 @@ TEST(IvfTest, RejectsBadArguments) {
   IvfConfig ivf;
   ivf.num_lists = 4;
   ASSERT_TRUE(index.Build(data, ivf, RabitqConfig{}).ok());
-  Rng rng(1);
-  std::vector<Neighbor> out;
-  IvfSearchParams params;
+  SearchOptions params;
   params.k = 0;
-  EXPECT_FALSE(index.Search(data.Row(0), params, &rng, &out).ok());
-  params.k = 5;
-  EXPECT_FALSE(index.Search(data.Row(0), params, nullptr, &out).ok());
-  EXPECT_FALSE(index.Search(data.Row(0), params, &rng, nullptr).ok());
+  params.seed = Rng(1).NextU64();
+  EXPECT_FALSE(index.Search({data.Row(0), params}).ok());
 }
 
 // The index scans only through the fast-scan blocks, whose u8 LUTs are
@@ -251,13 +251,14 @@ TEST(IvfTest, BuildRejectsQueryBitsAboveSix) {
   widest.query_bits = kMaxFastScanQueryBits;
   IvfRabitqIndex index;
   ASSERT_TRUE(index.Build(data, ivf, widest).ok());
-  IvfSearchParams params;
+  SearchOptions params;
   params.k = 3;
   params.nprobe = index.num_lists();
-  std::vector<Neighbor> out;
-  ASSERT_TRUE(index.Search(data.Row(0), params, std::uint64_t{1}, &out).ok());
-  ASSERT_FALSE(out.empty());
-  EXPECT_EQ(out[0].second, 0u);
+  params.seed = 1;
+  const SearchResponse response = index.Search({data.Row(0), params});
+  ASSERT_TRUE(response.ok());
+  ASSERT_FALSE(response.neighbors.empty());
+  EXPECT_EQ(response.neighbors[0].second, 0u);
 }
 
 TEST(IvfTest, MoreListsThanPointsClamps) {
@@ -268,11 +269,13 @@ TEST(IvfTest, MoreListsThanPointsClamps) {
   ASSERT_TRUE(index.Build(data, ivf, RabitqConfig{}).ok());
   EXPECT_LE(index.num_lists(), 10u);
   Rng rng(1);
-  IvfSearchParams params;
+  SearchOptions params;
   params.k = 3;
   params.nprobe = index.num_lists();
-  std::vector<Neighbor> out;
-  ASSERT_TRUE(index.Search(data.Row(0), params, &rng, &out).ok());
+  params.seed = rng.NextU64();
+  const SearchResponse response = index.Search({data.Row(0), params});
+  ASSERT_TRUE(response.ok());
+  const std::vector<Neighbor>& out = response.neighbors;
   ASSERT_FALSE(out.empty());
   EXPECT_EQ(out[0].second, 0u);  // the point itself
   EXPECT_NEAR(out[0].first, 0.0f, 1e-5f);

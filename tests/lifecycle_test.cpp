@@ -93,7 +93,7 @@ class LifecycleTest : public ::testing::Test {
 
   Matrix data_;
   Matrix queries_;
-  IvfSearchParams params_;
+  SearchOptions params_;
 };
 
 TEST_F(LifecycleTest, DeleteHidesVectorImmediately) {
@@ -101,18 +101,21 @@ TEST_F(LifecycleTest, DeleteHidesVectorImmediately) {
   ASSERT_EQ(index.live_size(), kN);
 
   // The vector nearest to itself is its own top-1; after Delete it vanishes.
-  std::vector<Neighbor> out;
-  ASSERT_TRUE(index.Search(data_.Row(5), params_, /*seed=*/1, &out).ok());
-  ASSERT_FALSE(out.empty());
-  EXPECT_EQ(out[0].second, 5u);
+  SearchRequest request{data_.Row(5), params_};
+  request.options.seed = 1;
+  SearchResponse out = index.Search(request);
+  ASSERT_TRUE(out.ok());
+  ASSERT_FALSE(out.neighbors.empty());
+  EXPECT_EQ(out.neighbors[0].second, 5u);
 
   ASSERT_TRUE(index.Delete(5).ok());
   EXPECT_TRUE(index.IsDeleted(5));
   EXPECT_EQ(index.live_size(), kN - 1);
   EXPECT_EQ(index.num_tombstones(), 1u);
 
-  ASSERT_TRUE(index.Search(data_.Row(5), params_, /*seed=*/1, &out).ok());
-  for (const Neighbor& n : out) EXPECT_NE(n.second, 5u);
+  out = index.Search(request);
+  ASSERT_TRUE(out.ok());
+  for (const Neighbor& n : out.neighbors) EXPECT_NE(n.second, 5u);
 
   // Double delete and out-of-range ids are rejected.
   EXPECT_EQ(index.Delete(5).code(), StatusCode::kNotFound);
@@ -129,14 +132,16 @@ TEST_F(LifecycleTest, HalfDeletedMatchesBruteForceOverLiveSet) {
   ASSERT_EQ(index.live_size(), kN / 2);
 
   double recall_sum = 0.0;
+  SearchOptions params = params_;
   for (std::size_t q = 0; q < kNumQueries; ++q) {
-    std::vector<Neighbor> got;
-    ASSERT_TRUE(index.Search(queries_.Row(q), params_, 100 + q, &got).ok());
+    params.seed = 100 + q;
+    const SearchResponse got = index.Search({queries_.Row(q), params});
+    ASSERT_TRUE(got.ok());
     const auto truth = BruteForceLive(data_, queries_.Row(q), kK, alive);
-    for (const Neighbor& n : got) {
+    for (const Neighbor& n : got.neighbors) {
       EXPECT_TRUE(alive[n.second]) << "deleted id " << n.second << " returned";
     }
-    recall_sum += RecallAgainst(got, truth);
+    recall_sum += RecallAgainst(got.neighbors, truth);
   }
   // Full probe + error-bound re-ranking is near-exact over the live set.
   EXPECT_GE(recall_sum / kNumQueries, 0.99);
@@ -155,13 +160,14 @@ TEST_F(LifecycleTest, SearchSkipsDeletedUnderAllRerankPolicies) {
   for (const RerankPolicy policy :
        {RerankPolicy::kErrorBound, RerankPolicy::kFixedCandidates,
         RerankPolicy::kNone}) {
-    IvfSearchParams params = params_;
+    SearchOptions params = params_;
     params.policy = policy;
     for (std::size_t q = 0; q < 8; ++q) {
-      std::vector<Neighbor> got;
-      ASSERT_TRUE(index.Search(queries_.Row(q), params, 7 + q, &got).ok());
-      ASSERT_FALSE(got.empty());
-      for (const Neighbor& n : got) {
+      params.seed = 7 + q;
+      const SearchResponse got = index.Search({queries_.Row(q), params});
+      ASSERT_TRUE(got.ok());
+      ASSERT_FALSE(got.neighbors.empty());
+      for (const Neighbor& n : got.neighbors) {
         EXPECT_TRUE(alive[n.second])
             << "policy " << static_cast<int>(policy) << " returned deleted id";
       }
@@ -179,17 +185,21 @@ TEST_F(LifecycleTest, UpdateRelocatesVectorKeepingItsId) {
   EXPECT_FALSE(index.IsDeleted(10));
 
   // Searching the new location finds the id at ~zero distance...
-  IvfSearchParams one = params_;
+  SearchOptions one = params_;
   one.k = 1;
-  std::vector<Neighbor> out;
-  ASSERT_TRUE(index.Search(moved.data(), one, /*seed=*/3, &out).ok());
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].second, 10u);
-  EXPECT_NEAR(out[0].first, 0.0f, 1e-3f);
+  one.seed = 3;
+  SearchResponse out = index.Search({moved.data(), one});
+  ASSERT_TRUE(out.ok());
+  ASSERT_EQ(out.neighbors.size(), 1u);
+  EXPECT_EQ(out.neighbors[0].second, 10u);
+  EXPECT_NEAR(out.neighbors[0].first, 0.0f, 1e-3f);
 
   // ...and the old location no longer returns it.
-  ASSERT_TRUE(index.Search(data_.Row(10), params_, /*seed=*/4, &out).ok());
-  for (const Neighbor& n : out) EXPECT_NE(n.second, 10u);
+  SearchRequest old_location{data_.Row(10), params_};
+  old_location.options.seed = 4;
+  out = index.Search(old_location);
+  ASSERT_TRUE(out.ok());
+  for (const Neighbor& n : out.neighbors) EXPECT_NE(n.second, 10u);
 
   // Updating a deleted id is rejected.
   ASSERT_TRUE(index.Delete(11).ok());
@@ -204,10 +214,13 @@ TEST_F(LifecycleTest, CompactionDropsTombstonesAndPreservesResults) {
     alive[id] = false;
   }
 
-  std::vector<std::vector<Neighbor>> before(kNumQueries);
+  std::vector<SearchRequest> requests(kNumQueries);
+  std::vector<SearchResponse> before(kNumQueries);
   for (std::size_t q = 0; q < kNumQueries; ++q) {
-    ASSERT_TRUE(
-        index.Search(queries_.Row(q), params_, 500 + q, &before[q]).ok());
+    requests[q] = {queries_.Row(q), params_};
+    requests[q].options.seed = 500 + q;
+    before[q] = index.Search(requests[q]);
+    ASSERT_TRUE(before[q].ok());
   }
 
   ASSERT_TRUE(index.Compact().ok());
@@ -221,13 +234,12 @@ TEST_F(LifecycleTest, CompactionDropsTombstonesAndPreservesResults) {
   // Same seeds after compaction: the live candidate sequence is unchanged
   // (compaction preserves relative order), so results are bit-identical.
   for (std::size_t q = 0; q < kNumQueries; ++q) {
-    std::vector<Neighbor> after;
-    ASSERT_TRUE(
-        index.Search(queries_.Row(q), params_, 500 + q, &after).ok());
-    ASSERT_EQ(after.size(), before[q].size());
-    for (std::size_t i = 0; i < after.size(); ++i) {
-      EXPECT_EQ(after[i].second, before[q][i].second);
-      EXPECT_EQ(after[i].first, before[q][i].first);
+    const SearchResponse after = index.Search(requests[q]);
+    ASSERT_TRUE(after.ok());
+    ASSERT_EQ(after.neighbors.size(), before[q].neighbors.size());
+    for (std::size_t i = 0; i < after.neighbors.size(); ++i) {
+      EXPECT_EQ(after.neighbors[i].second, before[q].neighbors[i].second);
+      EXPECT_EQ(after.neighbors[i].first, before[q].neighbors[i].first);
     }
   }
 
@@ -267,20 +279,21 @@ TEST_F(LifecycleTest, CompactedIndexMatchesFreshRebuildRecall) {
   // every bound-plausible candidate, so any recall gap comes from the
   // lifecycle machinery (wrong tombstones, corrupted codes) rather than
   // from estimator tail noise -- which is what this criterion is about.
-  IvfSearchParams params = params_;
+  SearchOptions params = params_;
   params.epsilon0_override = 2.5f;
   const std::size_t queries = kNumQueries;
   double recall_mutated = 0.0, recall_fresh = 0.0;
   for (std::size_t q = 0; q < queries; ++q) {
     const auto truth = BruteForceLive(data_, queries_.Row(q), kK, alive);
-    std::vector<Neighbor> got_mutated, got_fresh;
-    ASSERT_TRUE(
-        mutated.Search(queries_.Row(q), params, 900 + q, &got_mutated).ok());
-    ASSERT_TRUE(
-        fresh.Search(queries_.Row(q), params, 900 + q, &got_fresh).ok());
-    for (Neighbor& n : got_fresh) n.second = fresh_to_orig[n.second];
-    recall_mutated += RecallAgainst(got_mutated, truth);
-    recall_fresh += RecallAgainst(got_fresh, truth);
+    params.seed = 900 + q;
+    const SearchResponse got_mutated =
+        mutated.Search({queries_.Row(q), params});
+    SearchResponse got_fresh = fresh.Search({queries_.Row(q), params});
+    ASSERT_TRUE(got_mutated.ok());
+    ASSERT_TRUE(got_fresh.ok());
+    for (Neighbor& n : got_fresh.neighbors) n.second = fresh_to_orig[n.second];
+    recall_mutated += RecallAgainst(got_mutated.neighbors, truth);
+    recall_fresh += RecallAgainst(got_fresh.neighbors, truth);
   }
   recall_mutated /= queries;
   recall_fresh /= queries;
@@ -311,13 +324,14 @@ TEST_F(LifecycleTest, TenThousandSingleInsertsStayCheap) {
   EXPECT_LT(seconds, 20.0);
 
   // Spot-check correctness: the last insert is its own nearest neighbor.
-  IvfSearchParams one;
+  SearchOptions one;
   one.k = 1;
   one.nprobe = index.num_lists();
-  std::vector<Neighbor> out;
-  ASSERT_TRUE(index.Search(extra.Row(9999), one, /*seed=*/11, &out).ok());
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].second, 10499u);
+  one.seed = 11;
+  const SearchResponse out = index.Search({extra.Row(9999), one});
+  ASSERT_TRUE(out.ok());
+  ASSERT_EQ(out.neighbors.size(), 1u);
+  EXPECT_EQ(out.neighbors[0].second, 10499u);
 }
 
 // Shard count for the sharded variants of the stress tests; the CI matrix
@@ -360,8 +374,8 @@ void LifecycleTest::RunEngineChurnStress(std::size_t num_shards) {
     searchers.emplace_back([&, t] {
       std::size_t i = t;
       while (!stop.load(std::memory_order_relaxed)) {
-        EngineResult r =
-            engine.SubmitAsync(queries_.Row(i % kNumQueries), params_).get();
+        SearchResponse r =
+            engine.SubmitAsync({queries_.Row(i % kNumQueries), params_}).get();
         ASSERT_TRUE(r.status.ok()) << r.status.ToString();
         searches.fetch_add(1, std::memory_order_relaxed);
         ++i;
@@ -408,6 +422,9 @@ void LifecycleTest::RunEngineChurnStress(std::size_t num_shards) {
   }
   stop.store(true, std::memory_order_relaxed);
   for (auto& t : searchers) t.join();
+  // The background compactor is a writer too: stop it, so the per-shard
+  // reads below race with no commit (CompactNow still runs synchronously).
+  engine.Drain();
 
   const EngineStatsSnapshot stats = engine.Stats();
   EXPECT_EQ(stats.inserts, inserts_done.load());
@@ -443,18 +460,19 @@ void LifecycleTest::RunEngineChurnStress(std::size_t num_shards) {
   for (std::size_t s = 0; s < index.num_shards(); ++s) {
     EXPECT_EQ(index.shard(s).num_tombstones(), 0u) << "shard " << s;
   }
-  IvfSearchParams one = params_;
+  SearchOptions one = params_;
   one.k = 1;
   one.nprobe = index.num_lists();
   Rng rng(77);
   for (std::uint32_t id = 0; id < index.size(); ++id) {
     if (index.IsDeleted(id)) continue;
     if (rng.UniformInt(10) != 0) continue;  // sample 10% for speed
-    std::vector<Neighbor> out;
-    ASSERT_TRUE(index.Search(index.vector(id), one, 5000 + id, &out).ok());
-    ASSERT_EQ(out.size(), 1u);
-    EXPECT_EQ(out[0].second, id);
-    EXPECT_NEAR(out[0].first, 0.0f, 1e-3f);
+    one.seed = 5000 + id;
+    const SearchResponse out = index.Search({index.vector(id), one});
+    ASSERT_TRUE(out.ok());
+    ASSERT_EQ(out.neighbors.size(), 1u);
+    EXPECT_EQ(out.neighbors[0].second, id);
+    EXPECT_NEAR(out.neighbors[0].first, 0.0f, 1e-3f);
   }
 }
 

@@ -145,8 +145,8 @@ class MetricSearchTest : public ::testing::Test {
   }
 
   // Exhaustive exact settings: full probe, never prune.
-  static IvfSearchParams ExhaustiveParams(RerankPolicy policy) {
-    IvfSearchParams params;
+  static SearchOptions ExhaustiveParams(RerankPolicy policy) {
+    SearchOptions params;
     params.k = kK;
     params.nprobe = kLists;
     params.epsilon0_override = 50.0f;
@@ -171,12 +171,11 @@ TEST_F(MetricSearchTest, ExhaustiveSearchMatchesOracle) {
           OracleAllowed(data_, queries_.Row(q), kK, metric, {});
       for (const RerankPolicy policy :
            {RerankPolicy::kErrorBound, RerankPolicy::kFixedCandidates}) {
-        std::vector<Neighbor> got;
-        ASSERT_TRUE(index
-                        .Search(queries_.Row(q), ExhaustiveParams(policy),
-                                700 + q, &got)
-                        .ok());
-        ExpectSameNeighbors(oracle, got,
+        SearchOptions params = ExhaustiveParams(policy);
+        params.seed = 700 + q;
+        const SearchResponse got = index.Search({queries_.Row(q), params});
+        ASSERT_TRUE(got.ok());
+        ExpectSameNeighbors(oracle, got.neighbors,
                             std::string(MetricName(metric)) + " q" +
                                 std::to_string(q));
       }
@@ -201,14 +200,15 @@ TEST_F(MetricSearchTest, FilteredSearchMatchesOracleOverAllowedSubset) {
     for (std::size_t q = 0; q < kNumQueries; ++q) {
       const std::vector<Neighbor> oracle =
           OracleAllowed(data_, queries_.Row(q), kK, metric, allowed);
-      IvfSearchParams params = ExhaustiveParams(RerankPolicy::kErrorBound);
+      SearchOptions params = ExhaustiveParams(RerankPolicy::kErrorBound);
       params.filter = IdFilter::AllowBitmap(bits.data(), kN);
-      std::vector<Neighbor> got;
-      ASSERT_TRUE(index.Search(queries_.Row(q), params, 800 + q, &got).ok());
-      for (const Neighbor& nb : got) {
+      params.seed = 800 + q;
+      const SearchResponse got = index.Search({queries_.Row(q), params});
+      ASSERT_TRUE(got.ok());
+      for (const Neighbor& nb : got.neighbors) {
         ASSERT_TRUE(allowed[nb.second]) << "filtered id returned";
       }
-      ExpectSameNeighbors(oracle, got,
+      ExpectSameNeighbors(oracle, got.neighbors,
                           std::string("filtered ") + MetricName(metric));
     }
   }
@@ -226,7 +226,7 @@ TEST_F(MetricSearchTest, ShardedMatchesSingleShardPerMetric) {
     for (const RerankPolicy policy :
          {RerankPolicy::kErrorBound, RerankPolicy::kFixedCandidates,
           RerankPolicy::kNone}) {
-      IvfSearchParams params;
+      SearchOptions params;
       params.k = kK;
       params.nprobe = 6;
       params.policy = policy;
@@ -243,13 +243,13 @@ TEST_F(MetricSearchTest, ShardedMatchesSingleShardPerMetric) {
         params.epsilon0_override = 24.0f;
       }
       for (std::size_t q = 0; q < kNumQueries; ++q) {
-        std::vector<Neighbor> want, got;
-        ASSERT_TRUE(
-            single.Search(queries_.Row(q), params, 1000 + q, &want).ok());
-        ASSERT_TRUE(
-            sharded.Search(queries_.Row(q), params, 1000 + q, &got).ok());
+        params.seed = 1000 + q;
+        const SearchResponse want = single.Search({queries_.Row(q), params});
+        const SearchResponse got = sharded.Search({queries_.Row(q), params});
+        ASSERT_TRUE(want.ok());
+        ASSERT_TRUE(got.ok());
         ExpectSameNeighbors(
-            want, got,
+            want.neighbors, got.neighbors,
             std::string("sharded ") + MetricName(metric) + " policy " +
                 std::to_string(static_cast<int>(policy)) + " q" +
                 std::to_string(q));
@@ -264,13 +264,14 @@ TEST_F(MetricSearchTest, PerShardClusteringExhaustiveMatchesOracle) {
   const Metric metric = EnvMetric(Metric::kCosine);
   const ShardedIndex sharded =
       BuildSharded(metric, 4, ShardClustering::kPerShard);
-  const IvfSearchParams params = ExhaustiveParams(RerankPolicy::kErrorBound);
+  SearchOptions params = ExhaustiveParams(RerankPolicy::kErrorBound);
   for (std::size_t q = 0; q < kNumQueries; ++q) {
     const std::vector<Neighbor> oracle =
         OracleAllowed(data_, queries_.Row(q), kK, metric, {});
-    std::vector<Neighbor> got;
-    ASSERT_TRUE(sharded.Search(queries_.Row(q), params, 1100 + q, &got).ok());
-    ExpectSameNeighbors(oracle, got, "per-shard exhaustive");
+    params.seed = 1100 + q;
+    const SearchResponse got = sharded.Search({queries_.Row(q), params});
+    ASSERT_TRUE(got.ok());
+    ExpectSameNeighbors(oracle, got.neighbors, "per-shard exhaustive");
   }
 }
 
@@ -285,12 +286,14 @@ TEST_F(MetricSearchTest, SnapshotRoundTripsMetric) {
     IvfRabitqIndex loaded;
     ASSERT_TRUE(loaded.Load(path).ok());
     EXPECT_EQ(loaded.metric(), metric);
-    const IvfSearchParams params = ExhaustiveParams(RerankPolicy::kErrorBound);
+    SearchOptions params = ExhaustiveParams(RerankPolicy::kErrorBound);
     for (std::size_t q = 0; q < kNumQueries; ++q) {
-      std::vector<Neighbor> want, got;
-      ASSERT_TRUE(index.Search(queries_.Row(q), params, 1200 + q, &want).ok());
-      ASSERT_TRUE(loaded.Search(queries_.Row(q), params, 1200 + q, &got).ok());
-      ExpectSameNeighbors(want, got, "snapshot round trip");
+      params.seed = 1200 + q;
+      const SearchResponse want = index.Search({queries_.Row(q), params});
+      const SearchResponse got = loaded.Search({queries_.Row(q), params});
+      ASSERT_TRUE(want.ok());
+      ASSERT_TRUE(got.ok());
+      ExpectSameNeighbors(want.neighbors, got.neighbors, "snapshot round trip");
     }
     std::filesystem::remove(path);
   }
@@ -310,14 +313,17 @@ TEST_F(MetricSearchTest, ShardedManifestRoundTripsMetric) {
   ASSERT_TRUE(loaded.Load(dir).ok());
   EXPECT_EQ(loaded.metric(), metric);
   ASSERT_EQ(loaded.num_shards(), sharded.num_shards());
-  IvfSearchParams params;
+  SearchOptions params;
   params.k = kK;
   params.nprobe = 6;
   for (std::size_t q = 0; q < kNumQueries; ++q) {
-    std::vector<Neighbor> want, got;
-    ASSERT_TRUE(sharded.Search(queries_.Row(q), params, 1300 + q, &want).ok());
-    ASSERT_TRUE(loaded.Search(queries_.Row(q), params, 1300 + q, &got).ok());
-    ExpectSameNeighbors(want, got, "sharded manifest round trip");
+    params.seed = 1300 + q;
+    const SearchResponse want = sharded.Search({queries_.Row(q), params});
+    const SearchResponse got = loaded.Search({queries_.Row(q), params});
+    ASSERT_TRUE(want.ok());
+    ASSERT_TRUE(got.ok());
+    ExpectSameNeighbors(want.neighbors, got.neighbors,
+                        "sharded manifest round trip");
   }
   std::filesystem::remove_all(dir);
 }
@@ -329,15 +335,16 @@ TEST_F(MetricSearchTest, EngineServesMetricBatches) {
   const Metric metric = EnvMetric(Metric::kCosine);
   ShardedIndex reference = BuildSharded(metric, 2, ShardClustering::kShared);
 
-  IvfSearchParams params;
-  params.k = kK;
-  params.nprobe = 6;
-
-  std::vector<std::vector<Neighbor>> want(kNumQueries);
+  SearchOptions options;
+  options.k = kK;
+  options.nprobe = 6;
+  std::vector<SearchRequest> requests(kNumQueries);
+  std::vector<SearchResponse> want(kNumQueries);
   for (std::size_t q = 0; q < kNumQueries; ++q) {
-    ASSERT_TRUE(reference
-                    .Search(queries_.Row(q), params, 5000 + q, &want[q])
-                    .ok());
+    requests[q] = {queries_.Row(q), options};
+    requests[q].options.seed = 5000 + q;
+    want[q] = reference.Search(requests[q]);
+    ASSERT_TRUE(want[q].ok());
   }
 
   EngineConfig config;
@@ -346,20 +353,13 @@ TEST_F(MetricSearchTest, EngineServesMetricBatches) {
                       config);
   EXPECT_EQ(engine.metric(), metric);
 
-  std::vector<SearchRequest> requests(kNumQueries);
-  SearchOptions options;
-  options.k = kK;
-  options.nprobe = 6;
-  for (std::size_t q = 0; q < kNumQueries; ++q) {
-    requests[q] = {queries_.Row(q), options};
-    requests[q].options.seed = 5000 + q;
-  }
   std::vector<SearchResponse> responses;
   ASSERT_TRUE(engine.SearchBatch(requests.data(), requests.size(), &responses)
                   .ok());
   for (std::size_t q = 0; q < kNumQueries; ++q) {
     ASSERT_TRUE(responses[q].ok()) << responses[q].status.message();
-    ExpectSameNeighbors(want[q], responses[q].neighbors, "engine batch");
+    ExpectSameNeighbors(want[q].neighbors, responses[q].neighbors,
+                        "engine batch");
   }
 
   if (metric == Metric::kCosine) {
@@ -373,7 +373,7 @@ TEST_F(MetricSearchTest, EngineServesMetricBatches) {
     EXPECT_FALSE(batch_status.ok());
     ASSERT_EQ(mixed_responses.size(), 2u);
     EXPECT_TRUE(mixed_responses[0].ok());
-    ExpectSameNeighbors(want[0], mixed_responses[0].neighbors,
+    ExpectSameNeighbors(want[0].neighbors, mixed_responses[0].neighbors,
                         "mixed batch survivor");
     EXPECT_EQ(mixed_responses[1].status.code(), StatusCode::kInvalidArgument);
   }
@@ -398,11 +398,11 @@ TEST_F(MetricSearchTest, CosineRejectsZeroNormVectors) {
             StatusCode::kInvalidArgument);
   EXPECT_FALSE(index.IsDeleted(0)) << "failed update must not tombstone";
 
-  IvfSearchParams params;
+  SearchOptions params;
   params.k = kK;
   params.nprobe = 4;
-  std::vector<Neighbor> out;
-  EXPECT_EQ(index.Search(zero.data(), params, std::uint64_t{0}, &out).code(),
+  params.seed = 0;
+  EXPECT_EQ(index.Search({zero.data(), params}).status.code(),
             StatusCode::kInvalidArgument);
 }
 

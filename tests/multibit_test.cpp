@@ -357,8 +357,8 @@ class MultibitSearchTest : public ::testing::Test {
   }
 
   // Exhaustive exact settings: full probe, never prune.
-  static IvfSearchParams ExhaustiveParams() {
-    IvfSearchParams params;
+  static SearchOptions ExhaustiveParams() {
+    SearchOptions params;
     params.k = kK;
     params.nprobe = kLists;
     params.epsilon0_override = 50.0f;
@@ -384,20 +384,18 @@ TEST_F(MultibitSearchTest, TwoStageScanMatchesOracleAcrossWidths) {
       for (std::size_t q = 0; q < kNumQueries; ++q) {
         const std::vector<Neighbor> oracle =
             OracleAllowed(data_, queries_.Row(q), kK, metric, {});
-        std::vector<Neighbor> got;
-        IvfSearchStats stats;
-        ASSERT_TRUE(index
-                        .Search(queries_.Row(q), ExhaustiveParams(), 600 + q,
-                                &got, &stats)
-                        .ok());
+        SearchOptions params = ExhaustiveParams();
+        params.seed = 600 + q;
+        const SearchResponse got = index.Search({queries_.Row(q), params});
+        ASSERT_TRUE(got.ok());
         const std::string label = std::string(MetricName(metric)) + " B" +
                                   std::to_string(bits) + " q" +
                                   std::to_string(q);
-        ExpectSameNeighbors(oracle, got, label);
+        ExpectSameNeighbors(oracle, got.neighbors, label);
         if (bits > 1) {
-          EXPECT_GT(stats.codes_refined, 0u) << label;
+          EXPECT_GT(got.stats.codes_refined, 0u) << label;
         } else {
-          EXPECT_EQ(stats.codes_refined, 0u) << label;
+          EXPECT_EQ(got.stats.codes_refined, 0u) << label;
         }
       }
     }
@@ -532,19 +530,19 @@ TEST_F(MultibitSearchTest, PartialProbeMatchesPerCodeReplay) {
             {RerankPolicy::kErrorBound, SmallestK(by_exact, kK)},
         };
         for (const auto& c : cases) {
-          IvfSearchParams params = ExhaustiveParams();
+          SearchOptions params = ExhaustiveParams();
           params.nprobe = kProbe;
           params.policy = c.policy;
           params.rerank_candidates = kBudget;
           params.filter = IdFilter::AllowBitmap(bitmap.data(), kN);
-          std::vector<Neighbor> got;
-          IvfSearchStats stats;
-          ASSERT_TRUE(
-              index.Search(queries_.Row(q), params, seed, &got, &stats).ok());
-          ExpectSameNeighbors(c.want, got,
+          params.seed = seed;
+          const SearchResponse got = index.Search({queries_.Row(q), params});
+          ASSERT_TRUE(got.ok());
+          ExpectSameNeighbors(c.want, got.neighbors,
                               label + " policy " +
                                   std::to_string(static_cast<int>(c.policy)) +
                                   " q" + std::to_string(q));
+          const IvfSearchStats& stats = got.stats;
           EXPECT_EQ(stats.codes_filtered, live_disallowed) << label;
           if (bits > 1 && c.policy != RerankPolicy::kErrorBound) {
             EXPECT_EQ(stats.codes_refined, stats.codes_estimated) << label;
@@ -593,11 +591,13 @@ TEST_F(MultibitSearchTest, SnapshotV4RoundTripsMultiBitPayload) {
     }
   }
   for (std::size_t q = 0; q < kNumQueries; ++q) {
-    const IvfSearchParams params = ExhaustiveParams();
-    std::vector<Neighbor> want, got;
-    ASSERT_TRUE(index.Search(queries_.Row(q), params, 800 + q, &want).ok());
-    ASSERT_TRUE(loaded.Search(queries_.Row(q), params, 800 + q, &got).ok());
-    ExpectSameNeighbors(want, got, "v4 round trip");
+    SearchOptions params = ExhaustiveParams();
+    params.seed = 800 + q;
+    const SearchResponse want = index.Search({queries_.Row(q), params});
+    const SearchResponse got = loaded.Search({queries_.Row(q), params});
+    ASSERT_TRUE(want.ok());
+    ASSERT_TRUE(got.ok());
+    ExpectSameNeighbors(want.neighbors, got.neighbors, "v4 round trip");
   }
   std::filesystem::remove(path);
 }
@@ -633,10 +633,11 @@ TEST_F(MultibitSearchTest, LifecycleKeepsMultiBitPayloadConsistent) {
   for (std::size_t q = 0; q < kNumQueries; ++q) {
     const std::vector<Neighbor> oracle =
         OracleAllowed(all, queries_.Row(q), kK, Metric::kL2, allowed);
-    std::vector<Neighbor> got;
-    ASSERT_TRUE(
-        index.Search(queries_.Row(q), ExhaustiveParams(), 900 + q, &got).ok());
-    ExpectSameNeighbors(oracle, got, "lifecycle B4");
+    SearchOptions params = ExhaustiveParams();
+    params.seed = 900 + q;
+    const SearchResponse got = index.Search({queries_.Row(q), params});
+    ASSERT_TRUE(got.ok());
+    ExpectSameNeighbors(oracle, got.neighbors, "lifecycle B4");
   }
 }
 
@@ -654,44 +655,37 @@ TEST_F(MultibitSearchTest, ShardedAndEngineServeMultiBit) {
   ASSERT_TRUE(sharded.Build(data_, config).ok());
   const IvfRabitqIndex single = BuildSingle(Metric::kL2, 4);
 
-  IvfSearchParams params;
+  SearchOptions params;
   params.k = kK;
   params.nprobe = 5;
   params.policy = RerankPolicy::kErrorBound;
   // Widened eps0 keeps the kErrorBound shard merge bit-identical (shards
   // prune against weaker per-shard thresholds; see sharded.h).
   params.epsilon0_override = 8.0f;
-  std::vector<std::vector<Neighbor>> want(kNumQueries);
+  std::vector<SearchRequest> requests(kNumQueries);
+  std::vector<SearchResponse> want(kNumQueries);
   for (std::size_t q = 0; q < kNumQueries; ++q) {
-    std::vector<Neighbor> got;
-    IvfSearchStats stats;
-    ASSERT_TRUE(
-        single.Search(queries_.Row(q), params, 1000 + q, &want[q]).ok());
-    ASSERT_TRUE(
-        sharded.Search(queries_.Row(q), params, 1000 + q, &got, &stats).ok());
-    ExpectSameNeighbors(want[q], got, "sharded B4");
-    EXPECT_GT(stats.codes_refined, 0u) << "merged stats drop refinements";
+    requests[q] = {queries_.Row(q), params};
+    requests[q].options.seed = 1000 + q;
+    want[q] = single.Search(requests[q]);
+    const SearchResponse got = sharded.Search(requests[q]);
+    ASSERT_TRUE(want[q].ok());
+    ASSERT_TRUE(got.ok());
+    ExpectSameNeighbors(want[q].neighbors, got.neighbors, "sharded B4");
+    EXPECT_GT(got.stats.codes_refined, 0u) << "merged stats drop refinements";
   }
 
   EngineConfig engine_config;
   engine_config.num_threads = 2;
   SearchEngine engine(std::move(sharded), engine_config);
   EXPECT_EQ(engine.bits_per_dim(), 4u);
-  std::vector<SearchRequest> requests(kNumQueries);
-  SearchOptions options;
-  options.k = kK;
-  options.nprobe = 5;
-  options.epsilon0_override = 8.0f;
-  for (std::size_t q = 0; q < kNumQueries; ++q) {
-    requests[q] = {queries_.Row(q), options};
-    requests[q].options.seed = 1000 + q;
-  }
   std::vector<SearchResponse> responses;
   ASSERT_TRUE(
       engine.SearchBatch(requests.data(), requests.size(), &responses).ok());
   for (std::size_t q = 0; q < kNumQueries; ++q) {
     ASSERT_TRUE(responses[q].ok()) << responses[q].status.message();
-    ExpectSameNeighbors(want[q], responses[q].neighbors, "engine B4");
+    ExpectSameNeighbors(want[q].neighbors, responses[q].neighbors,
+                        "engine B4");
   }
   EXPECT_GT(engine.Stats().codes_refined, 0u);
 }

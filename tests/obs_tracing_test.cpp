@@ -68,7 +68,7 @@ class ObsTracingTest : public ::testing::Test {
 
   // Runs every query through `engine` as one synchronous batch with
   // explicit seeds QuerySeed(kSeedBase, i).
-  void RunBatch(SearchEngine* engine, const IvfSearchParams& params) {
+  void RunBatch(SearchEngine* engine, const SearchOptions& params) {
     std::vector<SearchRequest> requests(kNumQueries);
     for (std::size_t i = 0; i < kNumQueries; ++i) {
       requests[i].query = queries_.Row(i);
@@ -103,7 +103,7 @@ TEST_F(ObsTracingTest, SinkReceivesEveryQueryAtPeriodOne) {
     captured.push_back(ct);
   };
   SearchEngine engine(BuildIndex(data_), config);
-  IvfSearchParams params;
+  SearchOptions params;
   params.k = 10;
   params.nprobe = 8;
   RunBatch(&engine, params);
@@ -136,7 +136,7 @@ TEST_F(ObsTracingTest, AsyncSubmissionRecordsQueueWait) {
   config.num_threads = 2;
   config.trace_sample_period = 1;
   SearchEngine engine(BuildIndex(data_), config);
-  IvfSearchParams params;
+  SearchOptions params;
   params.k = 10;
   params.nprobe = 8;
   std::vector<std::future<SearchResponse>> futures;
@@ -157,7 +157,7 @@ TEST_F(ObsTracingTest, AsyncSubmissionRecordsQueueWait) {
 
 TEST_F(ObsTracingTest, SampledSubsetIsDeterministicAcrossRuns) {
   constexpr std::uint32_t kPeriod = 4;
-  IvfSearchParams params;
+  SearchOptions params;
   params.k = 10;
   params.nprobe = 8;
 
@@ -205,7 +205,7 @@ TEST_F(ObsTracingTest, HealthTelemetryMatchesOfflineReplication) {
     config.num_threads = 2;
     config.trace_sample_period = 0;
     SearchEngine engine(BuildIndex(data_, metric), config);
-    IvfSearchParams params;
+    SearchOptions params;
     params.k = kN + 10;
     params.nprobe = kNumLists;
 

@@ -130,7 +130,7 @@ class OverloadTest : public ::testing::Test {
 
   Matrix data_;
   Matrix queries_;
-  IvfSearchParams params_;
+  SearchOptions params_;
 };
 
 // The pinned regression for bounded admission: with the scheduler wedged, a

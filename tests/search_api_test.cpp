@@ -1,14 +1,10 @@
-// The unified SearchRequest/SearchResponse API and its compatibility shims:
-//   * old raw-pointer overloads (index / sharded / engine) are bit-identical
-//     to the request API at equal seeds -- they ARE the request API now
-//     (thin shims in search_compat.h), and these tests pin that;
-//   * seed semantics: explicit options.seed is used verbatim at every
-//     layer; unset seeds fall back to the documented defaults;
+// The unified SearchRequest/SearchResponse API:
+//   * seed semantics: an unset seed falls back to the layer's documented
+//     default (seed 0 for an index; the engine's ticket stream, which an
+//     explicitly seeded submission does not advance);
 //   * the Metric enum is validated at build (and survives save/load);
-//   * request-level error paths report through SearchResponse.status.
-//
-// This TU deliberately calls the deprecated API (RABITQ_SUPPRESS_DEPRECATED
-// is set for test targets) -- it is the compat coverage.
+//   * request-level error paths report through SearchResponse.status, per
+//     response, without failing the valid requests of a batch.
 
 #include <gtest/gtest.h>
 
@@ -64,45 +60,6 @@ class SearchApiTest : public ::testing::Test {
   Matrix queries_;
   IvfRabitqIndex index_;
 };
-
-TEST_F(SearchApiTest, SeededOverloadMatchesRequestApiBitIdentically) {
-  for (std::size_t q = 0; q < queries_.rows(); ++q) {
-    const std::uint64_t seed = 1234 + q;
-    const SearchOptions options = Options();
-
-    std::vector<Neighbor> old_result;
-    IvfSearchStats old_stats;
-    ASSERT_TRUE(
-        index_.Search(queries_.Row(q), options, seed, &old_result, &old_stats)
-            .ok());
-
-    SearchRequest request{queries_.Row(q), options};
-    request.options.seed = seed;
-    const SearchResponse response = index_.Search(request);
-    ASSERT_TRUE(response.ok());
-    EXPECT_EQ(response.neighbors, old_result);
-    EXPECT_EQ(response.stats.codes_estimated, old_stats.codes_estimated);
-    EXPECT_EQ(response.stats.candidates_reranked,
-              old_stats.candidates_reranked);
-    EXPECT_EQ(response.stats.lists_probed, old_stats.lists_probed);
-    EXPECT_EQ(response.stats.codes_filtered, old_stats.codes_filtered);
-  }
-}
-
-TEST_F(SearchApiTest, RngOverloadMatchesCallerDrawnSeed) {
-  for (std::size_t q = 0; q < queries_.rows(); ++q) {
-    Rng rng(99 + q);
-    const std::uint64_t drawn = Rng(99 + q).NextU64();
-
-    std::vector<Neighbor> old_result;
-    ASSERT_TRUE(
-        index_.Search(queries_.Row(q), Options(), &rng, &old_result).ok());
-
-    SearchRequest request{queries_.Row(q), Options()};
-    request.options.seed = drawn;
-    EXPECT_EQ(index_.Search(request).neighbors, old_result);
-  }
-}
 
 TEST_F(SearchApiTest, UnsetSeedDefaultsToZero) {
   SearchRequest unseeded{queries_.Row(0), Options()};
@@ -166,46 +123,6 @@ TEST_F(SearchApiTest, MetricSurvivesSnapshotRoundTrip) {
 
 // ---------------------------------------------------------------------------
 
-class ShardedApiTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    data_ = ClusteredData(1500, 32, 10, 71);
-    queries_ = ClusteredData(6, 32, 10, 72);
-    ShardedConfig config;
-    config.num_shards = 3;
-    config.clustering = ShardClustering::kShared;
-    config.ivf.num_lists = 12;
-    ASSERT_TRUE(index_.Build(data_, config).ok());
-  }
-
-  Matrix data_;
-  Matrix queries_;
-  ShardedIndex index_;
-};
-
-TEST_F(ShardedApiTest, SeededOverloadMatchesRequestApi) {
-  SearchOptions options;
-  options.k = 10;
-  options.nprobe = 8;
-  for (std::size_t q = 0; q < queries_.rows(); ++q) {
-    const std::uint64_t seed = 808 + q;
-    std::vector<Neighbor> old_result;
-    IvfSearchStats old_stats;
-    ASSERT_TRUE(index_
-                    .Search(queries_.Row(q), options, seed, &old_result,
-                            &old_stats)
-                    .ok());
-    SearchRequest request{queries_.Row(q), options};
-    request.options.seed = seed;
-    const SearchResponse response = index_.Search(request);
-    ASSERT_TRUE(response.ok());
-    EXPECT_EQ(response.neighbors, old_result);
-    EXPECT_EQ(response.stats.lists_probed, old_stats.lists_probed);
-  }
-}
-
-// ---------------------------------------------------------------------------
-
 class EngineApiTest : public ::testing::Test {
  protected:
   static constexpr std::size_t kNumQueries = 12;
@@ -228,41 +145,6 @@ class EngineApiTest : public ::testing::Test {
   std::unique_ptr<SearchEngine> engine_;
 };
 
-TEST_F(EngineApiTest, RawPointerBatchShimMatchesRequestCore) {
-  const std::uint64_t seed_base = 20240607;
-  std::vector<std::vector<Neighbor>> old_results;
-  IvfSearchStats old_agg;
-  ASSERT_TRUE(engine_
-                  ->SearchBatch(queries_.Row(0), kNumQueries, options_,
-                                seed_base, &old_results, &old_agg)
-                  .ok());
-
-  std::vector<SearchRequest> requests(kNumQueries);
-  for (std::size_t i = 0; i < kNumQueries; ++i) {
-    requests[i].query = queries_.Row(i);
-    requests[i].options = options_;
-    requests[i].options.seed = SearchEngine::QuerySeed(seed_base, i);
-  }
-  std::vector<SearchResponse> responses;
-  ASSERT_TRUE(
-      engine_->SearchBatch(requests.data(), kNumQueries, &responses).ok());
-
-  IvfSearchStats new_agg;
-  for (std::size_t i = 0; i < kNumQueries; ++i) {
-    ASSERT_TRUE(responses[i].ok());
-    EXPECT_EQ(responses[i].neighbors, old_results[i]) << "query " << i;
-    new_agg += responses[i].stats;
-  }
-  EXPECT_EQ(new_agg.codes_estimated, old_agg.codes_estimated);
-  EXPECT_EQ(new_agg.candidates_reranked, old_agg.candidates_reranked);
-  EXPECT_EQ(new_agg.lists_probed, old_agg.lists_probed);
-  EXPECT_EQ(new_agg.codes_filtered, old_agg.codes_filtered);
-  EXPECT_EQ(new_agg.codes_refined, old_agg.codes_refined);
-  EXPECT_GT(new_agg.rerank_health_samples, 0u);
-  EXPECT_EQ(new_agg.rerank_health_samples, old_agg.rerank_health_samples);
-  EXPECT_EQ(new_agg.rerank_bound_violations, old_agg.rerank_bound_violations);
-}
-
 TEST_F(EngineApiTest, SingleSearchMatchesSeededBatchEntry) {
   SearchRequest request{queries_.Row(0), options_};
   request.options.seed = 4711;
@@ -271,22 +153,6 @@ TEST_F(EngineApiTest, SingleSearchMatchesSeededBatchEntry) {
   std::vector<SearchResponse> responses;
   ASSERT_TRUE(engine_->SearchBatch(&request, 1, &responses).ok());
   EXPECT_EQ(single.neighbors, responses[0].neighbors);
-}
-
-TEST_F(EngineApiTest, AsyncShimsMatchRequestSubmission) {
-  const std::uint64_t seed = 999;
-  SearchRequest request{queries_.Row(1), options_};
-  request.options.seed = seed;
-  SearchResponse via_request = engine_->SubmitAsync(request).get();
-  SearchResponse via_shim =
-      engine_->SubmitAsync(queries_.Row(1), options_, seed).get();
-  ASSERT_TRUE(via_request.ok() && via_shim.ok());
-  EXPECT_EQ(via_request.neighbors, via_shim.neighbors);
-
-  // EngineResult remains an alias of SearchResponse for legacy callers.
-  EngineResult legacy = engine_->SubmitAsync(queries_.Row(1), options_, seed)
-                            .get();
-  EXPECT_EQ(legacy.neighbors, via_request.neighbors);
 }
 
 TEST_F(EngineApiTest, NullQueryFailsClosed) {
@@ -331,16 +197,10 @@ TEST_F(EngineApiTest, MixedNullAndValidBatchExecutesTheValidRequests) {
   EXPECT_EQ(responses[1].neighbors, expected.neighbors);
 }
 
-TEST_F(EngineApiTest, EmptyBatchIsOkThroughCoreAndShim) {
+TEST_F(EngineApiTest, EmptyBatchIsOk) {
   std::vector<SearchResponse> responses;
   EXPECT_TRUE(engine_->SearchBatch(nullptr, 0, &responses).ok());
   EXPECT_TRUE(responses.empty());
-  // The deprecated raw-pointer shim forwards an empty vector's data()
-  // (possibly nullptr); zero queries must stay a successful no-op.
-  std::vector<std::vector<Neighbor>> results;
-  EXPECT_TRUE(
-      engine_->SearchBatch(queries_.Row(0), 0, options_, &results).ok());
-  EXPECT_TRUE(results.empty());
 }
 
 TEST_F(EngineApiTest, ExplicitSeedSubmissionDoesNotConsumeAutoSeedTicket) {

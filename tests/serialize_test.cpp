@@ -129,21 +129,21 @@ TEST_F(IvfSerializeTest, SaveLoadRoundTripPreservesSearchResults) {
   EXPECT_EQ(loaded.num_lists(), index_.num_lists());
   EXPECT_EQ(loaded.encoder().total_bits(), index_.encoder().total_bits());
 
-  IvfSearchParams params;
+  SearchOptions params;
   params.k = 10;
   params.nprobe = 16;
   for (std::size_t q = 0; q < queries_.rows(); ++q) {
-    // Same rng stream -> identical randomized rounding -> identical results.
-    Rng rng_a(900 + q), rng_b(900 + q);
-    std::vector<Neighbor> original, restored;
-    ASSERT_TRUE(
-        index_.Search(queries_.Row(q), params, &rng_a, &original).ok());
-    ASSERT_TRUE(
-        loaded.Search(queries_.Row(q), params, &rng_b, &restored).ok());
-    ASSERT_EQ(original.size(), restored.size());
-    for (std::size_t i = 0; i < original.size(); ++i) {
-      EXPECT_EQ(original[i].second, restored[i].second);
-      EXPECT_FLOAT_EQ(original[i].first, restored[i].first);
+    // Same seed -> identical randomized rounding -> identical results.
+    params.seed = Rng(900 + q).NextU64();
+    const SearchResponse original = index_.Search({queries_.Row(q), params});
+    const SearchResponse restored = loaded.Search({queries_.Row(q), params});
+    ASSERT_TRUE(original.ok());
+    ASSERT_TRUE(restored.ok());
+    ASSERT_EQ(original.neighbors.size(), restored.neighbors.size());
+    for (std::size_t i = 0; i < original.neighbors.size(); ++i) {
+      EXPECT_EQ(original.neighbors[i].second, restored.neighbors[i].second);
+      EXPECT_FLOAT_EQ(original.neighbors[i].first,
+                      restored.neighbors[i].first);
     }
   }
   std::remove(path.c_str());
@@ -214,14 +214,15 @@ TEST_F(IvfSerializeTest, AddInsertsSearchableVector) {
   EXPECT_EQ(id, kN);
   EXPECT_EQ(index_.size(), kN + 1);
 
-  IvfSearchParams params;
+  SearchOptions params;
   params.k = 1;
   params.nprobe = index_.num_lists();
-  std::vector<Neighbor> result;
-  ASSERT_TRUE(index_.Search(novel.data(), params, &rng, &result).ok());
-  ASSERT_FALSE(result.empty());
-  EXPECT_EQ(result[0].second, id);
-  EXPECT_NEAR(result[0].first, 0.0f, 1e-4f);
+  params.seed = rng.NextU64();
+  const SearchResponse result = index_.Search({novel.data(), params});
+  ASSERT_TRUE(result.ok());
+  ASSERT_FALSE(result.neighbors.empty());
+  EXPECT_EQ(result.neighbors[0].second, id);
+  EXPECT_NEAR(result.neighbors[0].first, 0.0f, 1e-4f);
 }
 
 TEST_F(IvfSerializeTest, AddSurvivesSaveLoad) {

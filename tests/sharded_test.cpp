@@ -126,11 +126,11 @@ class ShardedTest : public ::testing::Test {
 // policy, duplicate-distance ties included.
 TEST_F(ShardedTest, MatchesSingleShardBitIdenticallyAllPolicies) {
   const IvfRabitqIndex single = BuildSingle(data_);
-  std::vector<IvfSearchParams> param_sets;
+  std::vector<SearchOptions> param_sets;
   for (const RerankPolicy policy :
        {RerankPolicy::kErrorBound, RerankPolicy::kFixedCandidates,
         RerankPolicy::kNone}) {
-    IvfSearchParams params;
+    SearchOptions params;
     params.k = 10;
     params.nprobe = 6;
     params.policy = policy;
@@ -144,13 +144,15 @@ TEST_F(ShardedTest, MatchesSingleShardBitIdenticallyAllPolicies) {
         BuildSharded(shards, ShardClustering::kShared, data_);
     ASSERT_EQ(sharded.num_shards(), shards);
     ASSERT_EQ(sharded.size(), single.size());
-    for (const IvfSearchParams& params : param_sets) {
+    for (const SearchOptions& params : param_sets) {
       for (std::size_t q = 0; q < kNumQueries; ++q) {
-        const std::uint64_t seed = 9000 + q;
-        std::vector<Neighbor> want, got;
-        ASSERT_TRUE(single.Search(queries_.Row(q), params, seed, &want).ok());
-        ASSERT_TRUE(sharded.Search(queries_.Row(q), params, seed, &got).ok());
-        ExpectSameNeighbors(want, got, "sharded-vs-single");
+        SearchRequest request{queries_.Row(q), params};
+        request.options.seed = 9000 + q;
+        const SearchResponse want = single.Search(request);
+        const SearchResponse got = sharded.Search(request);
+        ASSERT_TRUE(want.ok());
+        ASSERT_TRUE(got.ok());
+        ExpectSameNeighbors(want.neighbors, got.neighbors, "sharded-vs-single");
       }
     }
   }
@@ -180,32 +182,36 @@ TEST_F(ShardedTest, DeletesAndTiesMatchSingleShardAndOracle) {
 
     // Exhaustive settings: full probe, never prune (huge eps0 override) /
     // re-rank everything -- the result must be the exact live top-k.
-    IvfSearchParams bound;
+    SearchOptions bound;
     bound.k = 10;
     bound.nprobe = kLists;
     bound.epsilon0_override = 50.0f;
-    IvfSearchParams fixed = bound;
+    SearchOptions fixed = bound;
     fixed.policy = RerankPolicy::kFixedCandidates;
     fixed.rerank_candidates = kN;
-    IvfSearchParams none = bound;
+    SearchOptions none = bound;
     none.policy = RerankPolicy::kNone;
 
     for (std::size_t q = 0; q < kNumQueries; ++q) {
-      const std::uint64_t seed = 400 + q;
+      bound.seed = fixed.seed = none.seed = 400 + q;
       const auto oracle = BruteForceLive(data_, queries_.Row(q), 10, alive);
-      for (const IvfSearchParams* params : {&bound, &fixed}) {
-        std::vector<Neighbor> got, want;
-        ASSERT_TRUE(
-            sharded.Search(queries_.Row(q), *params, seed, &got).ok());
-        ASSERT_TRUE(single.Search(queries_.Row(q), *params, seed, &want).ok());
-        ExpectSameNeighbors(want, got, "exhaustive sharded-vs-single");
-        ExpectSameNeighbors(oracle, got, "exhaustive sharded-vs-oracle");
+      for (const SearchOptions* params : {&bound, &fixed}) {
+        const SearchResponse got = sharded.Search({queries_.Row(q), *params});
+        const SearchResponse want = single.Search({queries_.Row(q), *params});
+        ASSERT_TRUE(got.ok());
+        ASSERT_TRUE(want.ok());
+        ExpectSameNeighbors(want.neighbors, got.neighbors,
+                            "exhaustive sharded-vs-single");
+        ExpectSameNeighbors(oracle, got.neighbors,
+                            "exhaustive sharded-vs-oracle");
       }
-      std::vector<Neighbor> got, want;
-      ASSERT_TRUE(sharded.Search(queries_.Row(q), none, seed, &got).ok());
-      ASSERT_TRUE(single.Search(queries_.Row(q), none, seed, &want).ok());
-      ExpectSameNeighbors(want, got, "kNone sharded-vs-single");
-      for (const Neighbor& nb : got) {
+      const SearchResponse got = sharded.Search({queries_.Row(q), none});
+      const SearchResponse want = single.Search({queries_.Row(q), none});
+      ASSERT_TRUE(got.ok());
+      ASSERT_TRUE(want.ok());
+      ExpectSameNeighbors(want.neighbors, got.neighbors,
+                          "kNone sharded-vs-single");
+      for (const Neighbor& nb : got.neighbors) {
         EXPECT_TRUE(alive[nb.second]) << "deleted id returned";
       }
     }
@@ -219,15 +225,16 @@ TEST_F(ShardedTest, PerShardClusteringExhaustiveMatchesOracle) {
   const ShardedIndex sharded =
       BuildSharded(EnvShards(4), ShardClustering::kPerShard, data_);
   std::vector<bool> alive(kN, true);
-  IvfSearchParams params;
+  SearchOptions params;
   params.k = 10;
   params.nprobe = kLists;
   params.epsilon0_override = 50.0f;
   for (std::size_t q = 0; q < kNumQueries; ++q) {
     const auto oracle = BruteForceLive(data_, queries_.Row(q), 10, alive);
-    std::vector<Neighbor> got;
-    ASSERT_TRUE(sharded.Search(queries_.Row(q), params, 600 + q, &got).ok());
-    ExpectSameNeighbors(oracle, got, "per-shard exhaustive");
+    params.seed = 600 + q;
+    const SearchResponse got = sharded.Search({queries_.Row(q), params});
+    ASSERT_TRUE(got.ok());
+    ExpectSameNeighbors(oracle, got.neighbors, "per-shard exhaustive");
   }
 }
 
@@ -240,49 +247,43 @@ TEST_F(ShardedTest, EngineSearchBatchMatchesSequential) {
   ShardedIndex sharded =
       BuildSharded(EnvShards(4), ShardClustering::kShared, data_);
 
-  IvfSearchParams params;
+  SearchOptions params;
   params.k = 10;
   params.nprobe = 6;
 
-  std::vector<std::vector<Neighbor>> reference(kNumQueries);
+  std::vector<SearchRequest> requests(kNumQueries);
+  std::vector<SearchResponse> reference(kNumQueries);
   for (std::size_t i = 0; i < kNumQueries; ++i) {
-    ASSERT_TRUE(sharded
-                    .Search(queries_.Row(i), params,
-                            SearchEngine::QuerySeed(kSeedBase, i),
-                            &reference[i])
-                    .ok());
+    requests[i] = {queries_.Row(i), params};
+    requests[i].options.seed = SearchEngine::QuerySeed(kSeedBase, i);
+    reference[i] = sharded.Search(requests[i]);
+    ASSERT_TRUE(reference[i].ok());
   }
 
   EngineConfig config;
   config.num_threads = 4;
   SearchEngine engine(std::move(sharded), config);
-  std::vector<std::vector<Neighbor>> results;
-  IvfSearchStats agg;
-  ASSERT_TRUE(engine
-                  .SearchBatch(queries_.data(), kNumQueries, params, kSeedBase,
-                               &results, &agg)
-                  .ok());
+  std::vector<SearchResponse> results;
+  ASSERT_TRUE(engine.SearchBatch(requests.data(), kNumQueries, &results).ok());
   ASSERT_EQ(results.size(), kNumQueries);
+  IvfSearchStats agg;
   for (std::size_t i = 0; i < kNumQueries; ++i) {
-    ExpectSameNeighbors(results[i], reference[i], "engine-vs-sequential");
-    std::vector<Neighbor> single_ref;
-    ASSERT_TRUE(single
-                    .Search(queries_.Row(i), params,
-                            SearchEngine::QuerySeed(kSeedBase, i), &single_ref)
-                    .ok());
-    ExpectSameNeighbors(results[i], single_ref, "engine-vs-single-shard");
+    ExpectSameNeighbors(results[i].neighbors, reference[i].neighbors,
+                        "engine-vs-sequential");
+    const SearchResponse single_ref = single.Search(requests[i]);
+    ASSERT_TRUE(single_ref.ok());
+    ExpectSameNeighbors(results[i].neighbors, single_ref.neighbors,
+                        "engine-vs-single-shard");
+    agg += results[i].stats;
   }
   EXPECT_GT(agg.codes_estimated, 0u);
 
   // Async path with explicit seeds agrees too.
   for (std::size_t i = 0; i < 8; ++i) {
-    EngineResult result =
-        engine
-            .SubmitAsync(queries_.Row(i), params,
-                         SearchEngine::QuerySeed(kSeedBase, i))
-            .get();
+    const SearchResponse result = engine.SubmitAsync(requests[i]).get();
     ASSERT_TRUE(result.status.ok());
-    ExpectSameNeighbors(result.neighbors, reference[i], "async-vs-sequential");
+    ExpectSameNeighbors(result.neighbors, reference[i].neighbors,
+                        "async-vs-sequential");
   }
 }
 
@@ -310,14 +311,15 @@ TEST_F(ShardedTest, IdPlacementAndMutations) {
   EXPECT_EQ(index.size(), kN + 1);
 
   // The fresh vector is findable at ~zero distance, under its global id.
-  IvfSearchParams one;
+  SearchOptions one;
   one.k = 1;
   one.nprobe = kLists;
-  std::vector<Neighbor> out;
-  ASSERT_TRUE(index.Search(vec.data(), one, 5, &out).ok());
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].second, id);
-  EXPECT_NEAR(out[0].first, 0.0f, 1e-4f);
+  one.seed = 5;
+  SearchResponse out = index.Search({vec.data(), one});
+  ASSERT_TRUE(out.ok());
+  ASSERT_EQ(out.neighbors.size(), 1u);
+  EXPECT_EQ(out.neighbors[0].second, id);
+  EXPECT_NEAR(out.neighbors[0].first, 0.0f, 1e-4f);
 
   // Update keeps id and shard; the new location wins, the old one loses.
   std::vector<float> moved(kDim, -37.0f);
@@ -325,9 +327,11 @@ TEST_F(ShardedTest, IdPlacementAndMutations) {
   std::uint32_t shard_after = 0;
   ASSERT_TRUE(index.TryShardOf(id, &shard_after));
   EXPECT_EQ(shard_after, shard);
-  ASSERT_TRUE(index.Search(moved.data(), one, 6, &out).ok());
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].second, id);
+  one.seed = 6;
+  out = index.Search({moved.data(), one});
+  ASSERT_TRUE(out.ok());
+  ASSERT_EQ(out.neighbors.size(), 1u);
+  EXPECT_EQ(out.neighbors[0].second, id);
 
   ASSERT_TRUE(index.Delete(id).ok());
   EXPECT_TRUE(index.IsDeleted(id));
@@ -344,10 +348,11 @@ TEST_F(ShardedTest, IdPlacementAndMutations) {
   for (const RerankPolicy policy :
        {RerankPolicy::kErrorBound, RerankPolicy::kFixedCandidates,
         RerankPolicy::kNone}) {
-    IvfSearchParams zero;
+    SearchOptions zero;
     zero.k = 0;
     zero.policy = policy;
-    EXPECT_FALSE(index.Search(vec.data(), zero, 1, &out).ok());
+    zero.seed = 1;
+    EXPECT_FALSE(index.Search({vec.data(), zero}).ok());
   }
 }
 
@@ -387,13 +392,16 @@ TEST_F(ShardedTest, ShardedSnapshotRoundTripsBitIdentically) {
   }
   ASSERT_GT(index.num_tombstones(), 0u);
 
-  IvfSearchParams params;
+  SearchOptions params;
   params.k = 10;
   params.nprobe = kLists;
-  std::vector<std::vector<Neighbor>> before(kNumQueries);
+  std::vector<SearchRequest> requests(kNumQueries);
+  std::vector<SearchResponse> before(kNumQueries);
   for (std::size_t q = 0; q < kNumQueries; ++q) {
-    ASSERT_TRUE(
-        index.Search(queries_.Row(q), params, 800 + q, &before[q]).ok());
+    requests[q] = {queries_.Row(q), params};
+    requests[q].options.seed = 800 + q;
+    before[q] = index.Search(requests[q]);
+    ASSERT_TRUE(before[q].ok());
   }
 
   ASSERT_TRUE(index.Save(dir).ok());
@@ -411,10 +419,10 @@ TEST_F(ShardedTest, ShardedSnapshotRoundTripsBitIdentically) {
     EXPECT_EQ(loaded.IsDeleted(id), index.IsDeleted(id)) << "id " << id;
   }
   for (std::size_t q = 0; q < kNumQueries; ++q) {
-    std::vector<Neighbor> after;
-    ASSERT_TRUE(
-        loaded.Search(queries_.Row(q), params, 800 + q, &after).ok());
-    ExpectSameNeighbors(before[q], after, "snapshot round trip");
+    const SearchResponse after = loaded.Search(requests[q]);
+    ASSERT_TRUE(after.ok());
+    ExpectSameNeighbors(before[q].neighbors, after.neighbors,
+                        "snapshot round trip");
   }
 
   // The reloaded index keeps mutating: compaction drains the restored
@@ -422,10 +430,10 @@ TEST_F(ShardedTest, ShardedSnapshotRoundTripsBitIdentically) {
   ASSERT_TRUE(loaded.Compact().ok());
   EXPECT_EQ(loaded.num_tombstones(), 0u);
   for (std::size_t q = 0; q < kNumQueries; ++q) {
-    std::vector<Neighbor> after;
-    ASSERT_TRUE(
-        loaded.Search(queries_.Row(q), params, 800 + q, &after).ok());
-    ExpectSameNeighbors(before[q], after, "post-compaction");
+    const SearchResponse after = loaded.Search(requests[q]);
+    ASSERT_TRUE(after.ok());
+    ExpectSameNeighbors(before[q].neighbors, after.neighbors,
+                        "post-compaction");
   }
   std::filesystem::remove_all(dir);
 }
@@ -440,14 +448,16 @@ TEST_F(ShardedTest, SingleFileSnapshotLoadsAsOneShard) {
   EXPECT_EQ(loaded.num_shards(), 1u);
   EXPECT_EQ(loaded.size(), kN);
 
-  IvfSearchParams params;
+  SearchOptions params;
   params.k = 10;
   params.nprobe = 6;
   for (std::size_t q = 0; q < 8; ++q) {
-    std::vector<Neighbor> want, got;
-    ASSERT_TRUE(single.Search(queries_.Row(q), params, 70 + q, &want).ok());
-    ASSERT_TRUE(loaded.Search(queries_.Row(q), params, 70 + q, &got).ok());
-    ExpectSameNeighbors(want, got, "single-file fallback");
+    params.seed = 70 + q;
+    const SearchResponse want = single.Search({queries_.Row(q), params});
+    const SearchResponse got = loaded.Search({queries_.Row(q), params});
+    ASSERT_TRUE(want.ok());
+    ASSERT_TRUE(got.ok());
+    ExpectSameNeighbors(want.neighbors, got.neighbors, "single-file fallback");
   }
   std::remove(path.c_str());
 }
@@ -456,20 +466,24 @@ TEST_F(ShardedTest, SingleFileSnapshotLoadsAsOneShard) {
 // scatter-gather equals the wrapped index's own results.
 TEST_F(ShardedTest, FromSingleIsTransparent) {
   IvfRabitqIndex single = BuildSingle(data_);
-  IvfSearchParams params;
+  SearchOptions params;
   params.k = 10;
   params.nprobe = 6;
-  std::vector<std::vector<Neighbor>> want(8);
+  std::vector<SearchRequest> requests(8);
+  std::vector<SearchResponse> want(8);
   for (std::size_t q = 0; q < 8; ++q) {
-    ASSERT_TRUE(single.Search(queries_.Row(q), params, 50 + q, &want[q]).ok());
+    requests[q] = {queries_.Row(q), params};
+    requests[q].options.seed = 50 + q;
+    want[q] = single.Search(requests[q]);
+    ASSERT_TRUE(want[q].ok());
   }
   const ShardedIndex wrapped = ShardedIndex::FromSingle(std::move(single));
   EXPECT_EQ(wrapped.num_shards(), 1u);
   EXPECT_EQ(wrapped.size(), kN);
   for (std::size_t q = 0; q < 8; ++q) {
-    std::vector<Neighbor> got;
-    ASSERT_TRUE(wrapped.Search(queries_.Row(q), params, 50 + q, &got).ok());
-    ExpectSameNeighbors(want[q], got, "FromSingle");
+    const SearchResponse got = wrapped.Search(requests[q]);
+    ASSERT_TRUE(got.ok());
+    ExpectSameNeighbors(want[q].neighbors, got.neighbors, "FromSingle");
   }
 }
 

@@ -53,16 +53,16 @@ void ExpectSameNeighbors(const std::vector<Neighbor>& a,
 }
 
 std::vector<std::vector<Neighbor>> SearchAll(const IvfRabitqIndex& index,
-                                             const IvfSearchParams& params) {
+                                             SearchOptions params) {
   Rng qrng(5150);
   std::vector<std::vector<Neighbor>> out;
   for (std::size_t q = 0; q < 10; ++q) {
     std::vector<float> query(index.dim());
     for (auto& v : query) v = static_cast<float>(qrng.Gaussian());
-    std::vector<Neighbor> result;
-    EXPECT_TRUE(index.Search(query.data(), params, /*seed=*/9000 + q, &result)
-                    .ok());
-    out.push_back(std::move(result));
+    params.seed = 9000 + q;
+    SearchResponse result = index.Search({query.data(), params});
+    EXPECT_TRUE(result.ok());
+    out.push_back(std::move(result.neighbors));
   }
   return out;
 }
@@ -89,15 +89,16 @@ TEST(SnapshotCompatTest, V1GoldenFileLoads) {
     EXPECT_EQ(index.list_tombstones(l), 0u);
   }
   EXPECT_EQ(total_entries, kGoldenN);
-  IvfSearchParams params;
+  SearchOptions params;
   params.k = 1;
   params.nprobe = index.num_lists();
   for (std::uint32_t id = 0; id < kGoldenN; id += 37) {
-    std::vector<Neighbor> out;
-    ASSERT_TRUE(index.Search(index.vector(id), params, id, &out).ok());
-    ASSERT_EQ(out.size(), 1u);
-    EXPECT_EQ(out[0].second, id);
-    EXPECT_NEAR(out[0].first, 0.0f, 1e-5f);
+    params.seed = id;
+    const SearchResponse out = index.Search({index.vector(id), params});
+    ASSERT_TRUE(out.ok());
+    ASSERT_EQ(out.neighbors.size(), 1u);
+    EXPECT_EQ(out.neighbors[0].second, id);
+    EXPECT_NEAR(out.neighbors[0].first, 0.0f, 1e-5f);
   }
 }
 
@@ -117,7 +118,7 @@ TEST(SnapshotCompatTest, V2GoldenFileLoadsAsL2) {
   IvfRabitqIndex v1;
   ASSERT_TRUE(
       v1.Load(std::string(RABITQ_TEST_DATA_DIR) + "/golden_v1.rbq").ok());
-  IvfSearchParams params;
+  SearchOptions params;
   params.k = 10;
   params.nprobe = 4;
   const auto want = SearchAll(v1, params);
@@ -171,7 +172,7 @@ TEST(SnapshotCompatTest, V3GoldenFileLoadsWithMetricAndMatchesRebuild) {
     }
   }
 
-  IvfSearchParams params;
+  SearchOptions params;
   params.k = 10;
   params.nprobe = 4;
   const auto want = SearchAll(rebuilt, params);
@@ -223,7 +224,7 @@ TEST(SnapshotCompatTest, V4GoldenFileLoadsAndSurvivesV5ReSave) {
   rabitq.bits_per_dim = 2;
   ASSERT_TRUE(rebuilt.Build(data, ivf, rabitq).ok());
 
-  IvfSearchParams params;
+  SearchOptions params;
   params.k = 10;
   params.nprobe = 4;
   const auto want = SearchAll(rebuilt, params);
@@ -249,7 +250,7 @@ TEST(SnapshotCompatTest, V1GoldenSurvivesCurrentRoundTripBitIdentically) {
   IvfRabitqIndex v1;
   ASSERT_TRUE(
       v1.Load(std::string(RABITQ_TEST_DATA_DIR) + "/golden_v1.rbq").ok());
-  IvfSearchParams params;
+  SearchOptions params;
   params.k = 10;
   params.nprobe = 4;
   const auto before = SearchAll(v1, params);
@@ -293,7 +294,7 @@ TEST(SnapshotCompatTest, MutatedIndexRoundTripsBitIdentically) {
   }
   ASSERT_GT(index.num_tombstones(), 0u);
 
-  IvfSearchParams params;
+  SearchOptions params;
   params.k = 10;
   params.nprobe = 12;
   const auto before = SearchAll(index, params);
@@ -442,12 +443,13 @@ void ExpectLoadedIndexIsConsistent(const IvfRabitqIndex& index) {
   EXPECT_EQ(live, index.live_size());
   EXPECT_EQ(dead, index.num_tombstones());
   std::vector<float> query(index.dim(), 0.25f);
-  IvfSearchParams params;
+  SearchOptions params;
   params.k = 5;
   params.nprobe = index.num_lists();
-  std::vector<Neighbor> out;
-  EXPECT_TRUE(index.Search(query.data(), params, /*seed=*/1, &out).ok());
-  for (const Neighbor& nb : out) {
+  params.seed = 1;
+  const SearchResponse out = index.Search({query.data(), params});
+  EXPECT_TRUE(out.ok());
+  for (const Neighbor& nb : out.neighbors) {
     EXPECT_FALSE(index.IsDeleted(nb.second));
   }
 }
