@@ -1,24 +1,16 @@
-// End-to-end demo of the serving stack. Two modes:
-//
-//   * Default (wire): starts the network server in-process on an ephemeral
-//     port, creates a "demo" collection over the wire (training vectors ride
-//     the create_collection frame), then drives it like a real deployment:
-//     N closed-loop producer clients searching, a writer client churning the
-//     live collection (add / delete / update), a metrics scraper polling the
-//     stats endpoint. --metrics-out periodically rewrites the file with the
-//     collection's Prometheus exposition FETCHED OVER THE WIRE -- the same
-//     text the in-process exporter used to write, so existing scrape
-//     tooling keeps working. Ends with a filtered search (allow-bitmap
-//     pushed down through the protocol), a drain request and a clean server
-//     shutdown.
-//
-//   * --in-process: the pre-server demo, linking SearchEngine directly --
-//     SubmitAsync futures, micro-batching, background compaction, the
-//     predicate IdFilter (which cannot cross the wire) and sampled query
-//     traces.
+// End-to-end demo of the serving stack: starts the network server
+// in-process on an ephemeral port, creates a "demo" collection over the wire
+// (training vectors ride the create_collection frame), then drives it like a
+// real deployment: N closed-loop producer clients searching, a writer client
+// churning the live collection (add / delete / update), a metrics scraper
+// polling the stats endpoint. --metrics-out periodically rewrites the file
+// with the collection's Prometheus exposition FETCHED OVER THE WIRE -- the
+// same text obs::ExportPrometheus renders for an engine, so scrape tooling
+// reads one format. Ends with a filtered search (allow-bitmap pushed down
+// through the protocol), a drain request and a clean server shutdown.
 //
 //   ./serve_demo [num_producers] [queries_per_producer] [--shards S]
-//               [--metric l2|ip|cosine] [--metrics-out PATH] [--in-process]
+//               [--metric l2|ip|cosine] [--metrics-out PATH]
 
 #include <unistd.h>
 
@@ -27,32 +19,19 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <future>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "engine/search_engine.h"
-#include "index/ivf.h"
-#include "index/sharded.h"
-#include "obs/export.h"
-#include "obs/trace.h"
 #include "server/client.h"
 #include "server/server.h"
 #include "util/prng.h"
 
-using rabitq::EngineConfig;
-using rabitq::EngineStatsSnapshot;
 using rabitq::IdFilter;
 using rabitq::Matrix;
 using rabitq::Rng;
-using rabitq::SearchEngine;
 using rabitq::SearchOptions;
-using rabitq::SearchRequest;
 using rabitq::SearchResponse;
-using rabitq::ShardedConfig;
-using rabitq::ShardedIndex;
 using rabitq::Status;
 
 namespace {
@@ -89,10 +68,7 @@ struct DemoArgs {
   std::size_t num_shards = 1;
   rabitq::Metric metric = rabitq::Metric::kL2;
   const char* metrics_out = nullptr;
-  bool in_process = false;
 };
-
-// ------------------------------------------------------------ wire mode ---
 
 int RunWire(const DemoArgs& args) {
   using rabitq::server::Client;
@@ -147,8 +123,8 @@ int RunWire(const DemoArgs& args) {
 
   // Metrics scraper: polls the stats endpoint over the wire and atomically
   // rewrites --metrics-out with the collection's Prometheus exposition --
-  // the same unlabeled text the in-process exporter wrote, so scrape
-  // tooling (and the CI greps) see an unchanged format.
+  // the same unlabeled text obs::ExportPrometheus renders for an engine, so
+  // scrape tooling (and the CI greps) read one format.
   std::atomic<bool> stop_exporter{false};
   std::thread exporter;
   if (args.metrics_out != nullptr) {
@@ -171,9 +147,11 @@ int RunWire(const DemoArgs& args) {
 
   // Producers: one closed-loop client connection each. Concurrent requests
   // from different connections coalesce in the server's micro-batching
-  // queue exactly like in-process SubmitAsync producers.
+  // queue exactly like in-process SubmitAsync producers. The query set has
+  // at least one row: the filtered search below probes with row 0.
   const Matrix queries = GaussianClusters(
-      args.num_producers * args.queries_per_producer, dim, 32, 2);
+      std::max<std::size_t>(1, args.num_producers * args.queries_per_producer),
+      dim, 32, 2);
   std::vector<std::thread> producers;
   for (std::size_t p = 0; p < args.num_producers; ++p) {
     producers.emplace_back([&, p] {
@@ -234,7 +212,7 @@ int RunWire(const DemoArgs& args) {
 
   // Filtered search over the wire: an allow-bitmap rides the request frame
   // and is pushed down into the per-shard scans server-side. (Predicate
-  // filters have no wire form -- see --in-process for that path.)
+  // filters have no wire form.)
   {
     std::vector<std::uint64_t> bitmap((n + 63) / 64, 0);
     for (const std::uint32_t id : {2001u, 9999u, 15000u}) {  // churn survivors
@@ -288,271 +266,21 @@ int RunWire(const DemoArgs& args) {
   return 0;
 }
 
-// ------------------------------------------------------ in-process mode ---
-
-int RunInProcess(const DemoArgs& args) {
-  const std::size_t num_producers = args.num_producers;
-  const std::size_t queries_per_producer = args.queries_per_producer;
-  const std::size_t num_shards = args.num_shards;
-  const rabitq::Metric metric = args.metric;
-  const char* metrics_out = args.metrics_out;
-  const std::size_t n = 20000, dim = 64;
-
-  std::printf("building IVF+RaBitQ index over %zu x %zu vectors (%zu shard%s, "
-              "metric %s)...\n",
-              n, dim, num_shards, num_shards == 1 ? "" : "s",
-              rabitq::MetricName(metric));
-  Matrix data = GaussianClusters(n, dim, 32, 1);
-  ShardedIndex index;
-  ShardedConfig sharded_config;
-  sharded_config.num_shards = num_shards;
-  sharded_config.ivf.metric = metric;
-  // Split the list budget across the shards so the total probe work stays
-  // comparable as --shards grows.
-  sharded_config.ivf.num_lists =
-      std::max<std::size_t>(1, 128 / num_shards);
-  Status status = index.Build(data, sharded_config);
-  if (!status.ok()) {
-    std::fprintf(stderr, "Build failed: %s\n", status.ToString().c_str());
-    return 1;
-  }
-
-  EngineConfig config;
-  config.max_batch = 32;
-  config.batch_linger_us = 200;
-  // Compact a list as soon as 10% of its entries are tombstones, so the
-  // short demo run actually exercises the background compactor.
-  config.compaction_tombstone_ratio = 0.10f;
-  config.compaction_min_dead = 8;
-  SearchOptions params;
-  params.k = 10;
-  params.nprobe = std::max<std::size_t>(1, 16 / num_shards);  // per shard
-
-  // Trace sink: every 64th query (the default sample period) delivers its
-  // per-stage span breakdown here. Keep the first few and print them at the
-  // end -- a stand-in for shipping traces to a real collector.
-  struct TraceRecord {
-    std::uint64_t seed;
-    double us[rabitq::obs::kNumStages];
-  };
-  std::mutex trace_mutex;
-  std::vector<TraceRecord> trace_records;
-  config.trace_sink = [&](std::uint64_t seed,
-                          const rabitq::obs::QueryTrace& trace) {
-    std::lock_guard<std::mutex> lock(trace_mutex);
-    if (trace_records.size() >= 5) return;
-    TraceRecord rec;
-    rec.seed = seed;
-    for (int s = 0; s < rabitq::obs::kNumStages; ++s) {
-      rec.us[s] = trace.Micros(static_cast<rabitq::obs::Stage>(s));
-    }
-    trace_records.push_back(rec);
-  };
-
-  SearchEngine engine(std::move(index), config);
-  std::printf("engine up: %zu worker thread(s), %zu shard(s), max_batch=%zu\n",
-              engine.num_threads(), engine.num_shards(), config.max_batch);
-
-  // Metrics exporter: periodically rewrite --metrics-out with the Prometheus
-  // text format (write to a temp file then rename, so scrapers never see a
-  // torn exposition).
-  std::atomic<bool> stop_exporter{false};
-  std::thread exporter;
-  if (metrics_out != nullptr) {
-    exporter = std::thread([&] {
-      while (!stop_exporter.load(std::memory_order_relaxed)) {
-        WriteFileAtomic(metrics_out,
-                        rabitq::obs::ExportPrometheus(engine.SnapshotMetrics()));
-        for (int i = 0; i < 10 && !stop_exporter.load(); ++i) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(100));
-        }
-      }
-    });
-    std::printf("metrics exporter: writing Prometheus text to %s every 1s\n",
-                metrics_out);
-  }
-
-  // Producers: each thread submits its queries and immediately waits on the
-  // returned futures -- the scheduler gathers concurrent submissions into
-  // shared batches behind the scenes.
-  Matrix queries =
-      GaussianClusters(num_producers * queries_per_producer, dim, 32, 2);
-  std::vector<std::thread> producers;
-  for (std::size_t p = 0; p < num_producers; ++p) {
-    producers.emplace_back([&, p] {
-      std::vector<std::future<SearchResponse>> futures;
-      futures.reserve(queries_per_producer);
-      for (std::size_t i = 0; i < queries_per_producer; ++i) {
-        futures.push_back(engine.SubmitAsync(
-            SearchRequest{queries.Row(p * queries_per_producer + i), params}));
-      }
-      std::size_t ok = 0;
-      float nearest = -1.0f;
-      for (auto& f : futures) {
-        SearchResponse result = f.get();
-        if (result.status.ok()) {
-          ++ok;
-          if (!result.neighbors.empty()) nearest = result.neighbors[0].first;
-        }
-      }
-      std::printf("producer %zu: %zu/%zu ok (last top-1 dist^2 %.3f)\n", p,
-                  ok, queries_per_producer, nearest);
-    });
-  }
-
-  // A writer churns the serving index concurrently: a fresh insert, a
-  // delete and an in-place update per round -- live traffic never stops.
-  // The writer tracks its own deletions rather than peeking at
-  // engine.index() mid-flight: reading index internals while the
-  // background compactor commits is outside the documented contract.
-  std::thread writer([&] {
-    Matrix fresh = GaussianClusters(256, dim, 32, 3);
-    Rng rng(4);
-    std::vector<bool> deleted(n, false);
-    for (std::size_t i = 0; i < fresh.rows(); ++i) {
-      std::uint32_t id = 0;
-      if (!engine.Insert(fresh.Row(i), &id).ok()) continue;
-      const std::uint32_t victim = static_cast<std::uint32_t>(i * 7 % n);
-      if (!deleted[victim] && engine.Delete(victim).ok()) {
-        deleted[victim] = true;
-      }
-      const std::uint32_t moved = static_cast<std::uint32_t>(i * 13 % n);
-      if (!deleted[moved]) {
-        std::vector<float> vec(dim);
-        for (auto& v : vec) v = static_cast<float>(rng.Gaussian()) * 6.0f;
-        engine.Update(moved, vec.data());
-      }
-      if ((i + 1) % 64 == 0) {
-        const EngineStatsSnapshot s = engine.Stats();
-        std::printf("writer: +%llu -%llu ~%llu | live %llu, tombstones %llu,"
-                    " compactions %llu, epoch %llu\n",
-                    static_cast<unsigned long long>(s.inserts),
-                    static_cast<unsigned long long>(s.deletes),
-                    static_cast<unsigned long long>(s.updates),
-                    static_cast<unsigned long long>(s.live_vectors),
-                    static_cast<unsigned long long>(s.tombstones),
-                    static_cast<unsigned long long>(s.compactions),
-                    static_cast<unsigned long long>(s.epoch));
-      }
-    }
-  });
-
-  for (auto& t : producers) t.join();
-  writer.join();
-
-  // Drain whatever tombstones the background pass has not claimed yet.
-  const Status compact_status = engine.CompactNow();
-  if (!compact_status.ok()) {
-    std::fprintf(stderr, "CompactNow failed: %s\n",
-                 compact_status.ToString().c_str());
-  }
-
-  // --- Filtered search: the same serving path with a per-query IdFilter.
-  // The filter is pushed down into the fused scan (it joins the tombstone
-  // bits in the kernel's survivors mask), so excluded ids never reach exact
-  // re-ranking and there is no post-filtering pass. Here: a predicate
-  // admitting only even ids, then an allow-bitmap pinned to three ids --
-  // the "search within this user's documents" shape.
-  if (queries.rows() > 0) {
-    SearchRequest request{queries.Row(0), params};
-    request.options.seed = 42;  // explicit seed: reproducible across runs
-    request.options.filter = IdFilter::FromPredicate(
-        [](void*, std::uint32_t id) { return id % 2 == 0; }, nullptr);
-    const SearchResponse even = engine.Search(request);
-    bool all_even = even.ok();
-    for (const auto& nb : even.neighbors) all_even &= nb.second % 2 == 0;
-    std::printf("\nfiltered search (even ids only): %zu hits, all even: %s, "
-                "codes filtered in-scan: %zu\n",
-                even.neighbors.size(), all_even ? "yes" : "NO",
-                even.stats.codes_filtered);
-
-    std::vector<std::uint64_t> bitmap((n + 63) / 64, 0);
-    for (const std::uint32_t id : {2001u, 9999u, 15000u}) {  // churn survivors
-      bitmap[id >> 6] |= std::uint64_t{1} << (id & 63u);
-    }
-    request.options.filter = IdFilter::AllowBitmap(bitmap.data(), n);
-    // Probe every list: with only three candidate ids in the whole index,
-    // an IVF subset probe would usually miss their lists entirely.
-    request.options.nprobe = ~std::size_t{0};
-    const SearchResponse pinned = engine.Search(request);
-    std::printf("filtered search (3-id allowlist): top hits =");
-    for (const auto& nb : pinned.neighbors) {
-      std::printf(" %u(d^2=%.2f)", nb.second, nb.first);
-    }
-    std::printf("\n");
-  }
-
-  const EngineStatsSnapshot stats = engine.Stats();
-  std::printf(
-      "\nserved %llu queries in %llu batches (mean batch %.1f)\n"
-      "qps %.0f | latency p50 %.0fus p99 %.0fus max %.0fus\n"
-      "codes estimated %llu | candidates re-ranked %llu | lists probed %llu"
-      " | codes filtered %llu\n"
-      "inserts %llu, deletes %llu, updates %llu, lists compacted %llu\n"
-      "epoch %llu | ids %zu, live %llu, tombstones %llu\n",
-      static_cast<unsigned long long>(stats.queries),
-      static_cast<unsigned long long>(stats.batches), stats.mean_batch_size,
-      stats.qps, stats.latency_p50_us, stats.latency_p99_us,
-      stats.latency_max_us,
-      static_cast<unsigned long long>(stats.codes_estimated),
-      static_cast<unsigned long long>(stats.candidates_reranked),
-      static_cast<unsigned long long>(stats.lists_probed),
-      static_cast<unsigned long long>(stats.codes_filtered),
-      static_cast<unsigned long long>(stats.inserts),
-      static_cast<unsigned long long>(stats.deletes),
-      static_cast<unsigned long long>(stats.updates),
-      static_cast<unsigned long long>(stats.compactions),
-      static_cast<unsigned long long>(stats.epoch), engine.size(),
-      static_cast<unsigned long long>(stats.live_vectors),
-      static_cast<unsigned long long>(stats.tombstones));
-  std::printf(
-      "estimator health: eps0 violation rate %.4f | signed rel-err mean "
-      "%+.4f | bound tightness %.3f (%llu samples)\n",
-      stats.eps0_violation_rate, stats.rerank_signed_err_mean,
-      stats.rerank_bound_tightness_mean,
-      static_cast<unsigned long long>(stats.rerank_health_samples));
-
-  {
-    std::lock_guard<std::mutex> lock(trace_mutex);
-    std::printf("\nsampled query traces (first %zu):\n", trace_records.size());
-    for (const TraceRecord& rec : trace_records) {
-      std::printf("  seed %llu:", static_cast<unsigned long long>(rec.seed));
-      for (int s = 0; s < rabitq::obs::kNumStages; ++s) {
-        std::printf(" %s=%.1fus",
-                    rabitq::obs::StageName(static_cast<rabitq::obs::Stage>(s)),
-                    rec.us[s]);
-      }
-      std::printf("\n");
-    }
-  }
-
-  if (exporter.joinable()) {
-    stop_exporter.store(true);
-    exporter.join();
-    // One final write so the file reflects the full run.
-    WriteFileAtomic(metrics_out,
-                    rabitq::obs::ExportPrometheus(engine.SnapshotMetrics()));
-  }
-  std::printf("\nmetrics snapshot (JSON):\n%s\n",
-              rabitq::obs::ExportJson(engine.SnapshotMetrics()).c_str());
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   DemoArgs args;
   std::vector<std::size_t> positional;
+  const auto usage = [] {
+    std::fprintf(stderr,
+                 "usage: serve_demo [num_producers] [queries_per_producer] "
+                 "[--shards S>=1] [--metric l2|ip|cosine] "
+                 "[--metrics-out PATH]\n");
+    return 1;
+  };
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--shards") == 0) {
-      if (i + 1 >= argc || std::atol(argv[i + 1]) < 1) {
-        std::fprintf(stderr,
-                     "usage: serve_demo [num_producers] "
-                     "[queries_per_producer] [--shards S>=1] "
-                     "[--metric l2|ip|cosine] [--metrics-out PATH] "
-                     "[--in-process]\n");
-        return 1;
-      }
+      if (i + 1 >= argc || std::atol(argv[i + 1]) < 1) return usage();
       args.num_shards = static_cast<std::size_t>(std::atol(argv[++i]));
     } else if (std::strcmp(argv[i], "--metric") == 0) {
       if (i + 1 >= argc || !rabitq::ParseMetricName(argv[i + 1], &args.metric)) {
@@ -566,8 +294,8 @@ int main(int argc, char** argv) {
         return 1;
       }
       args.metrics_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--in-process") == 0) {
-      args.in_process = true;
+    } else if (argv[i][0] == '-') {
+      return usage();  // an unknown flag must not parse as a count of 0
     } else {
       positional.push_back(static_cast<std::size_t>(std::atol(argv[i])));
     }
@@ -575,5 +303,5 @@ int main(int argc, char** argv) {
   if (positional.size() > 0) args.num_producers = positional[0];
   if (positional.size() > 1) args.queries_per_producer = positional[1];
 
-  return args.in_process ? RunInProcess(args) : RunWire(args);
+  return RunWire(args);
 }

@@ -59,13 +59,28 @@ EngineStatsCollector::EngineStatsCollector(obs::MetricsRegistry* registry)
       latency_(registry->GetHistogram("rabitq_query_latency_us",
                                       "Per-query latency in microseconds")) {}
 
-void EngineStatsCollector::RecordBatch(std::size_t batch_size,
-                                       const double* latencies_us,
-                                       const IvfSearchStats& batch_stats,
-                                       std::size_t errors) {
-  queries_->Add(batch_size);
+void EngineStatsCollector::RecordBatch(const SearchResponse* responses,
+                                       std::size_t n,
+                                       const double* latencies_us) {
+  IvfSearchStats batch_stats;
+  std::uint64_t errors = 0, deadline_exceeded = 0, partial = 0;
+  std::uint64_t shard_failures = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const SearchResponse& response = responses[i];
+    batch_stats += response.stats;
+    errors += !response.ok();
+    deadline_exceeded +=
+        response.status.code() == StatusCode::kDeadlineExceeded;
+    partial += response.partial;
+    shard_failures += response.shards_failed;
+    latency_->Record(latencies_us[i]);
+  }
+  queries_->Add(n);
   batches_->Increment();
   search_errors_->Add(errors);
+  deadline_exceeded_->Add(deadline_exceeded);
+  partial_responses_->Add(partial);
+  shard_failures_->Add(shard_failures);
   codes_estimated_->Add(batch_stats.codes_estimated);
   candidates_reranked_->Add(batch_stats.candidates_reranked);
   lists_probed_->Add(batch_stats.lists_probed);
@@ -78,9 +93,6 @@ void EngineStatsCollector::RecordBatch(std::size_t batch_size,
   }
   if (batch_stats.rerank_tightness_sum != 0.0) {
     tightness_sum_->Add(batch_stats.rerank_tightness_sum);
-  }
-  for (std::size_t i = 0; i < batch_size; ++i) {
-    latency_->Record(latencies_us[i]);
   }
 }
 

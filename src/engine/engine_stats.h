@@ -1,10 +1,10 @@
 // Serving-side statistics for SearchEngine. EngineStatsCollector is a thin
-// facade over an obs::MetricsRegistry: every Record* call is a handful of
-// relaxed striped-atomic adds (no mutex -- the engine-wide stats lock this
-// class used to hold is gone), and Snapshot() aggregates the registry into
-// the same EngineStatsSnapshot consumers always read. The registry itself is
-// owned by the engine and also feeds the per-stage trace histograms and the
-// Prometheus/JSON exports (see obs/export.h).
+// facade over an obs::MetricsRegistry: RecordBatch counts a batch from its
+// SearchResponses, every Record* call is a handful of relaxed striped-atomic
+// adds (no mutex), and Snapshot() aggregates the registry into an
+// EngineStatsSnapshot. The registry itself is owned by the engine and also
+// feeds the per-stage trace histograms and the Prometheus/JSON exports (see
+// obs/export.h).
 
 #ifndef RABITQ_ENGINE_ENGINE_STATS_H_
 #define RABITQ_ENGINE_ENGINE_STATS_H_
@@ -81,10 +81,12 @@ class EngineStatsCollector {
   /// `registry` must outlive the collector (the engine owns both).
   explicit EngineStatsCollector(obs::MetricsRegistry* registry);
 
-  /// One executed batch: its size, the per-query latencies (microseconds),
-  /// the IvfSearchStats summed over the batch, and how many queries failed.
-  void RecordBatch(std::size_t batch_size, const double* latencies_us,
-                   const IvfSearchStats& batch_stats, std::size_t errors);
+  /// One executed batch of `n` responses with their per-query latencies
+  /// (microseconds): counts the queries, the failures among them (and of
+  /// those the deadline trips), the partial responses and the isolated
+  /// shard failures, and sums the responses' work counters.
+  void RecordBatch(const SearchResponse* responses, std::size_t n,
+                   const double* latencies_us);
   void RecordInsert() { inserts_->Increment(); }
   void RecordDelete() { deletes_->Increment(); }
   void RecordUpdate() { updates_->Increment(); }
@@ -94,12 +96,6 @@ class EngineStatsCollector {
   void RecordRejected() { rejected_->Increment(); }
   /// One queued query shed unexecuted (deadline expired while queued).
   void RecordShed() { shed_->Increment(); }
-  /// One query that ran out of deadline mid-scan (partial results).
-  void RecordDeadlineExceeded() { deadline_exceeded_->Increment(); }
-  /// One response flagged partial (deadline and/or shard failure).
-  void RecordPartialResponse() { partial_responses_->Increment(); }
-  /// `n` shards hard-failed and were excluded from one query's merge.
-  void RecordShardFailures(std::uint64_t n) { shard_failures_->Add(n); }
 
   EngineStatsSnapshot Snapshot() const;
   /// Zeroes every registry metric and restarts the QPS window (the uptime

@@ -12,6 +12,7 @@
 #ifndef RABITQ_ENGINE_REQUEST_QUEUE_H_
 #define RABITQ_ENGINE_REQUEST_QUEUE_H_
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -28,13 +29,12 @@ namespace rabitq {
 
 /// One queued query, owning a copy of the vector (the caller's buffer may
 /// die immediately after SubmitAsync returns; the options' IdFilter stays a
-/// view -- its bitmap/context must live until the future resolves). `seed`
-/// is already resolved: options.seed when the caller set one, else the
-/// engine's ticket-derived seed drawn at submission.
+/// view -- its bitmap/context must live until the future resolves).
+/// options.seed is always set: the caller's seed, else the engine's
+/// ticket-derived seed drawn at submission.
 struct QueuedQuery {
   std::vector<float> query;
   SearchOptions options;
-  std::uint64_t seed = 0;
   std::chrono::steady_clock::time_point submit_time;
   std::promise<SearchResponse> promise;
 };
@@ -65,18 +65,19 @@ class RequestQueue {
   }
 
   /// Blocks until a request is available or the queue is closed, then moves
-  /// up to `max_batch` requests into `*out` (cleared first), waiting at most
-  /// `linger` after the first request for the batch to fill. When `shed` is
-  /// non-null, requests whose resolved deadline already expired while they
-  /// waited are moved there instead of into `*out` (they do not count
-  /// toward max_batch): under overload, queue time eats the whole budget
-  /// and executing such a query wastes a batch slot on a guaranteed
-  /// kDeadlineExceeded. Returns false only when the queue is closed AND
-  /// drained -- the scheduler's exit condition, which guarantees every
-  /// accepted request is answered (served or shed).
+  /// up to `max_batch` requests (0 acts as 1) into `*out` (cleared first),
+  /// waiting at most `linger` after the first request for the batch to
+  /// fill. When `shed` is non-null, requests whose resolved deadline already
+  /// expired while they waited are moved there instead of into `*out` (they
+  /// do not count toward max_batch): under overload, queue time eats the
+  /// whole budget and executing such a query wastes a batch slot on a
+  /// guaranteed kDeadlineExceeded. Returns false only when the queue is
+  /// closed AND drained -- the scheduler's exit condition, which guarantees
+  /// every accepted request is answered (served or shed).
   bool PopBatch(std::size_t max_batch, std::chrono::microseconds linger,
                 std::vector<QueuedQuery>* out,
                 std::vector<QueuedQuery>* shed = nullptr) {
+    max_batch = std::max<std::size_t>(max_batch, 1);
     out->clear();
     if (shed != nullptr) shed->clear();
     std::unique_lock<std::mutex> lock(mutex_);

@@ -14,7 +14,6 @@ SearchEngine::SearchEngine(ShardedIndex index, const EngineConfig& config)
     : index_(std::move(index)),
       dim_(index_.dim()),
       metric_(index_.metric()),
-      bits_per_dim_(index_.encoder().config().bits_per_dim),
       config_(config),
       num_threads_(config.num_threads != 0
                        ? config.num_threads
@@ -97,18 +96,15 @@ std::uint64_t SearchEngine::QuerySeed(std::uint64_t base,
 }
 
 void SearchEngine::ExecuteBatch(
-    const float* const* queries, std::size_t n,
-    const SearchOptions* const* params, const std::uint64_t* seeds,
+    const SearchRequest* requests, std::size_t n,
     const std::chrono::steady_clock::time_point* submit_times,
-    Status* statuses, std::vector<Neighbor>* results, IvfSearchStats* stats,
-    ShardMergeInfo* infos) {
+    SearchResponse* responses) {
   using Clock = std::chrono::steady_clock;
   std::lock_guard<std::mutex> batch_lock(batch_mutex_);
   const Clock::time_point start = Clock::now();
   // Each query's latency is its batch's execution time, or submit to
   // completion on the async path (queueing included).
-  const auto record_batch = [&](const IvfSearchStats& batch_stats,
-                                std::size_t errors) {
+  const auto record_batch = [&] {
     const Clock::time_point end = Clock::now();
     std::vector<double> latencies(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -117,18 +113,18 @@ void SearchEngine::ExecuteBatch(
                                                         : start))
                          .count();
     }
-    stats_.RecordBatch(n, latencies.data(), batch_stats, errors);
+    stats_.RecordBatch(responses, n, latencies.data());
   };
   const std::size_t S = index_.num_shards();
   if (S == 0) {
     for (std::size_t i = 0; i < n; ++i) {
-      statuses[i] = Status::FailedPrecondition("engine index not built");
+      responses[i].status =
+          Status::FailedPrecondition("engine index not built");
     }
+    record_batch();
     return;
   }
 
-  // A batch that throws (say, from an IdFilter predicate) still shows in
-  // the stats: its n queries record as failed before the exception leaves.
   bool any_traced = false;
   try {
     // Deterministic trace sampling, decided before any work: a pure function
@@ -142,7 +138,8 @@ void SearchEngine::ExecuteBatch(
         trace_capacity_ = n;
       }
       for (std::size_t i = 0; i < n; ++i) {
-        if (obs::SampleTrace(seeds[i], config_.trace_sample_period)) {
+        if (obs::SampleTrace(*requests[i].options.seed,
+                             config_.trace_sample_period)) {
           trace_storage_[i].Clear();
           batch_traces_[i] = &trace_storage_[i];
           any_traced = true;
@@ -166,16 +163,15 @@ void SearchEngine::ExecuteBatch(
     const std::size_t d = index_.dim();
     gather_buf_.Reset(n, d);
     for (std::size_t i = 0; i < n; ++i) {
-      std::copy_n(queries[i], d, gather_buf_.Row(i));
+      std::copy_n(requests[i].query, d, gather_buf_.Row(i));
     }
     // Cosine normalizes where it rotates (the index contract for pre-rotated
     // queries). A zero-norm query fails per-query, not per-batch: its gather
     // row rotates to zeros harmlessly and its cells are skipped below.
-    std::vector<Status> query_status(n, Status::Ok());
     if (metric_ == Metric::kCosine) {
       for (std::size_t i = 0; i < n; ++i) {
         if (NormalizeInPlace(gather_buf_.Row(i), d) == 0.0f) {
-          query_status[i] =
+          responses[i].status =
               Status::InvalidArgument("zero-norm query under cosine metric");
         }
       }
@@ -200,37 +196,33 @@ void SearchEngine::ExecuteBatch(
     // Scatter: (query x shard) cells in contiguous chunks, chunk c exclusively
     // owning worker_scratch_[c]. The pool runs chunks 1..C-1 while this thread
     // runs chunk 0, so a one-cell batch never leaves this thread.
-    const std::size_t cells = n * S;
-    cell_status_.assign(cells, Status::Ok());
-    cell_results_.resize(cells);
-    cell_stats_.assign(cells, IvfSearchStats{});
-    const std::size_t chunks = std::min(num_threads_, cells);
-    const std::size_t per_chunk = (cells + chunks - 1) / chunks;
+    const std::size_t num_cells = n * S;
+    cells_.resize(num_cells);
+    const std::size_t chunks = std::min(num_threads_, num_cells);
+    const std::size_t per_chunk = (num_cells + chunks - 1) / chunks;
     const auto run_chunk = [&](std::size_t c) {
       IvfSearchScratch& scratch = worker_scratch_[c].shard_scratch;
-      const std::size_t end = std::min((c + 1) * per_chunk, cells);
+      const std::size_t end = std::min((c + 1) * per_chunk, num_cells);
       for (std::size_t cell = c * per_chunk; cell < end; ++cell) {
         const std::size_t q = cell / S;
-        const std::size_t s = cell % S;
+        // A query that failed validation (zero-norm under cosine) runs no
+        // cell and is never merged.
+        if (!responses[q].ok()) continue;
         // A sampled query's cells may run on several threads; its trace's
         // relaxed atomic accumulators absorb the concurrent span adds.
-        if (!query_status[q].ok()) {
-          cell_status_[cell] = query_status[q];
-          continue;
-        }
         scratch.trace = batch_traces_[q];
         // The gather row (normalized under cosine, a plain copy otherwise)
         // is the query the shards see -- exact re-ranks and the merge must
         // score against the SAME vector the estimates were prepared from.
-        cell_status_[cell] = index_.SearchShard(
-            s, gather_buf_.Row(q), rotated_buf_.Row(q), *params[q], seeds[q],
-            &scratch, &cell_results_[cell], &cell_stats_[cell]);
+        index_.SearchShard(cell % S, gather_buf_.Row(q), rotated_buf_.Row(q),
+                           requests[q].options, *requests[q].options.seed,
+                           &scratch, &cells_[cell]);
       }
       scratch.trace = nullptr;
     };
     std::vector<std::future<void>> futures;
     futures.reserve(chunks - 1);  // no reallocation once a task is queued
-    for (std::size_t c = 1; c < chunks && c * per_chunk < cells; ++c) {
+    for (std::size_t c = 1; c < chunks && c * per_chunk < num_cells; ++c) {
       futures.push_back(pool_->SubmitTask([&run_chunk, c] { run_chunk(c); }));
     }
     std::exception_ptr first_error;
@@ -252,43 +244,27 @@ void SearchEngine::ExecuteBatch(
     }
     if (first_error) std::rethrow_exception(first_error);
 
-    // Gather: this thread merges each query's S shard cells into its global
-    // result, reusing chunk 0's (now idle) scratch.
+    // Gather: this thread merges each query's S cells into its response,
+    // reusing chunk 0's (now idle) scratch. A failed or out-of-time shard
+    // degrades the query instead of failing it (see MergeShardResults).
     for (std::size_t q = 0; q < n; ++q) {
-      // A query that failed validation before the scatter (zero-norm under
-      // cosine) never ran any cell; everything else merges with the per-shard
-      // statuses so a failed or out-of-time shard degrades the query instead
-      // of failing it (see ShardedIndex::MergeShardResults).
-      if (!query_status[q].ok()) {
-        statuses[q] = query_status[q];
-        continue;
-      }
+      if (!responses[q].ok()) continue;
       obs::ScopedSpan merge_span(batch_traces_[q], obs::Stage::kMerge);
-      statuses[q] = index_.MergeShardResults(
-          gather_buf_.Row(q), *params[q], &cell_results_[q * S],
-          &cell_stats_[q * S], &worker_scratch_[0], &results[q], &stats[q],
-          &cell_status_[q * S], &infos[q]);
+      index_.MergeShardResults(gather_buf_.Row(q), requests[q].options,
+                               &cells_[q * S], &worker_scratch_[0],
+                               &responses[q]);
     }
     for (auto& lock : read_locks) lock.unlock();
   } catch (...) {
-    record_batch(IvfSearchStats{}, n);
+    // A batch that throws (say, from an IdFilter predicate) still shows in
+    // the stats: its n queries record as failed before the exception leaves.
+    for (std::size_t i = 0; i < n; ++i) {
+      responses[i] = {Status::Internal("search threw"), {}, {}};
+    }
+    record_batch();
     throw;
   }
-
-  std::size_t errors = 0;
-  IvfSearchStats batch_stats;
-  for (std::size_t i = 0; i < n; ++i) {
-    batch_stats += stats[i];
-    if (!statuses[i].ok()) ++errors;
-    if (statuses[i].code() == StatusCode::kDeadlineExceeded) {
-      stats_.RecordDeadlineExceeded();
-    }
-    if (infos[i].partial) stats_.RecordPartialResponse();
-    if (infos[i].shards_failed > 0) {
-      stats_.RecordShardFailures(infos[i].shards_failed);
-    }
-  }
-  record_batch(batch_stats, errors);
+  record_batch();
 
   // Fold the sampled traces into the per-stage histograms and hand them to
   // the optional sink. Queue wait (submit -> batch start) only exists on
@@ -314,7 +290,9 @@ void SearchEngine::ExecuteBatch(
         }
       }
       traced_queries_->Increment();
-      if (config_.trace_sink) config_.trace_sink(seeds[i], *trace);
+      if (config_.trace_sink) {
+        config_.trace_sink(*requests[i].options.seed, *trace);
+      }
     }
   }
 }
@@ -332,58 +310,40 @@ Status SearchEngine::SearchBatch(const SearchRequest* requests,
   }
   // Per-response error contract: a null-query request fails through its own
   // response.status while the valid requests still execute (compacted into
-  // a dense sub-batch, then scattered back).
-  std::vector<std::size_t> live;
-  live.reserve(num_requests);
+  // a dense sub-batch, then moved back into their slots).
+  std::vector<SearchRequest> batch;
+  std::vector<std::size_t> slot;  // batch index -> request index
+  batch.reserve(num_requests);
+  slot.reserve(num_requests);
+  // Relative timeouts resolve against ONE admission timestamp for the whole
+  // batch -- read lazily, so deadline-free batches never touch the clock
+  // here (part of the bit-determinism contract).
+  std::chrono::steady_clock::time_point now{};
+  bool now_read = false;
   for (std::size_t i = 0; i < num_requests; ++i) {
     if (requests[i].query == nullptr) {
       (*responses)[i].status = Status::InvalidArgument("null query in request");
-    } else {
-      live.push_back(i);
+      continue;
+    }
+    SearchRequest& request = batch.emplace_back(requests[i]);
+    slot.push_back(i);
+    if (request.options.timeout_us != 0 && !now_read) {
+      now = std::chrono::steady_clock::now();
+      now_read = true;
+    }
+    request.options.ResolveDeadline(now);
+    // Auto-seed by the request's BATCH POSITION (not its compacted slot) so
+    // a request's derived seed is independent of its neighbors' validity.
+    if (!request.options.seed) {
+      request.options.seed = QuerySeed(config_.seed, i);
     }
   }
-  const std::size_t n = live.size();
-  if (n > 0) {
-    std::vector<const float*> query_ptrs(n);
-    std::vector<SearchOptions> owned_params(n);
-    std::vector<const SearchOptions*> param_ptrs(n);
-    std::vector<std::uint64_t> seeds(n);
-    std::vector<Status> statuses(n);
-    std::vector<std::vector<Neighbor>> results(n);
-    std::vector<IvfSearchStats> stats(n);
-    std::vector<ShardMergeInfo> infos(n);
-    // Relative timeouts resolve against ONE admission timestamp for the
-    // whole batch -- read lazily, so deadline-free batches never touch the
-    // clock here (part of the bit-determinism contract).
-    std::chrono::steady_clock::time_point now{};
-    bool now_read = false;
-    for (std::size_t j = 0; j < n; ++j) {
-      const SearchRequest& request = requests[live[j]];
-      query_ptrs[j] = request.query;
-      owned_params[j] = request.options;
-      if (owned_params[j].timeout_us != 0 && !now_read) {
-        now = std::chrono::steady_clock::now();
-        now_read = true;
-      }
-      owned_params[j].ResolveDeadline(now);
-      param_ptrs[j] = &owned_params[j];
-      // Auto-seed by the request's BATCH POSITION (not its compacted slot)
-      // so a request's derived seed is independent of its neighbors'
-      // validity.
-      seeds[j] =
-          request.options.seed.value_or(QuerySeed(config_.seed, live[j]));
-    }
-    ExecuteBatch(query_ptrs.data(), n, param_ptrs.data(), seeds.data(),
-                 /*submit_times=*/nullptr, statuses.data(), results.data(),
-                 stats.data(), infos.data());
-    for (std::size_t j = 0; j < n; ++j) {
-      SearchResponse& response = (*responses)[live[j]];
-      response.status = std::move(statuses[j]);
-      response.neighbors = std::move(results[j]);
-      response.stats = stats[j];
-      response.partial = infos[j].partial;
-      response.shards_ok = infos[j].shards_ok;
-      response.shards_failed = infos[j].shards_failed;
+  if (!batch.empty()) {
+    std::vector<SearchResponse> executed(batch.size());
+    ExecuteBatch(batch.data(), batch.size(), /*submit_times=*/nullptr,
+                 executed.data());
+    for (std::size_t j = 0; j < batch.size(); ++j) {
+      (*responses)[slot[j]] = std::move(executed[j]);
     }
   }
   for (const SearchResponse& response : *responses) {
@@ -394,18 +354,8 @@ Status SearchEngine::SearchBatch(const SearchRequest* requests,
 
 SearchResponse SearchEngine::Search(const SearchRequest& request) {
   std::vector<SearchResponse> responses;
-  const Status status = SearchBatch(&request, 1, &responses);
-  if (responses.empty()) {
-    SearchResponse response;
-    response.status =
-        status.ok() ? Status::Internal("batch of one produced no response")
-                    : status;
-    return response;
-  }
-  SearchResponse response = std::move(responses.front());
-  // A batch-level failure must not surface as an ok() response.
-  if (response.status.ok() && !status.ok()) response.status = status;
-  return response;
+  SearchBatch(&request, 1, &responses);
+  return std::move(responses.front());
 }
 
 std::future<SearchResponse> SearchEngine::SubmitAsync(
@@ -421,13 +371,12 @@ std::future<SearchResponse> SearchEngine::SubmitAsync(
   }
   queued.query.assign(request.query, request.query + dim());
   queued.options = request.options;
-  // Not value_or: its argument evaluates eagerly, and an explicitly-seeded
-  // submission must NOT consume a ticket (the auto-seed stream of
-  // interleaved unseeded submissions would shift otherwise).
-  queued.seed = request.options.seed.has_value()
-                    ? *request.options.seed
-                    : QuerySeed(config_.seed, next_ticket_.fetch_add(
-                                                  1, std::memory_order_relaxed));
+  // Only an unseeded submission draws a ticket: an explicitly seeded one
+  // must not shift the auto-seed stream of interleaved unseeded ones.
+  if (!queued.options.seed) {
+    queued.options.seed = QuerySeed(
+        config_.seed, next_ticket_.fetch_add(1, std::memory_order_relaxed));
+  }
   queued.submit_time = std::chrono::steady_clock::now();
   // A relative timeout becomes an absolute deadline at ADMISSION, so queue
   // time counts against the budget (that is the point of shedding).
@@ -657,14 +606,9 @@ Status SearchEngine::SaveSnapshot(const std::string& path) const {
 void SearchEngine::SchedulerLoop() {
   std::vector<QueuedQuery> batch;
   std::vector<QueuedQuery> shed;
-  std::vector<const float*> query_ptrs;
-  std::vector<const SearchOptions*> param_ptrs;
-  std::vector<std::uint64_t> seeds;
+  std::vector<SearchRequest> requests;
   std::vector<std::chrono::steady_clock::time_point> submit_times;
-  std::vector<Status> statuses;
-  std::vector<std::vector<Neighbor>> results;
-  std::vector<IvfSearchStats> stats;
-  std::vector<ShardMergeInfo> infos;
+  std::vector<SearchResponse> responses;
   while (queue_.PopBatch(config_.max_batch,
                          std::chrono::microseconds(config_.batch_linger_us),
                          &batch, &shed)) {
@@ -680,24 +624,15 @@ void SearchEngine::SchedulerLoop() {
     }
     const std::size_t n = batch.size();
     if (n == 0) continue;  // everything popped this round was shed
-    query_ptrs.resize(n);
-    param_ptrs.resize(n);
-    seeds.resize(n);
+    requests.resize(n);
     submit_times.resize(n);
-    statuses.assign(n, Status::Ok());
-    results.assign(n, {});
-    stats.assign(n, IvfSearchStats{});
-    infos.assign(n, ShardMergeInfo{});
+    responses.assign(n, {});
     for (std::size_t i = 0; i < n; ++i) {
-      query_ptrs[i] = batch[i].query.data();
-      param_ptrs[i] = &batch[i].options;
-      seeds[i] = batch[i].seed;
+      requests[i] = {batch[i].query.data(), batch[i].options};
       submit_times[i] = batch[i].submit_time;
     }
     try {
-      ExecuteBatch(query_ptrs.data(), n, param_ptrs.data(), seeds.data(),
-                   submit_times.data(), statuses.data(), results.data(),
-                   stats.data(), infos.data());
+      ExecuteBatch(requests.data(), n, submit_times.data(), responses.data());
     } catch (...) {
       // A search that throws (a throwing IdFilter predicate, bad_alloc in a
       // scan) fails every request of its batch, as SearchBatch throws to a
@@ -708,14 +643,7 @@ void SearchEngine::SchedulerLoop() {
       continue;
     }
     for (std::size_t i = 0; i < n; ++i) {
-      SearchResponse response;
-      response.status = std::move(statuses[i]);
-      response.neighbors = std::move(results[i]);
-      response.stats = stats[i];
-      response.partial = infos[i].partial;
-      response.shards_ok = infos[i].shards_ok;
-      response.shards_failed = infos[i].shards_failed;
-      batch[i].promise.set_value(std::move(response));
+      batch[i].promise.set_value(std::move(responses[i]));
     }
   }
 }

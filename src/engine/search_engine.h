@@ -63,7 +63,8 @@ struct EngineConfig {
   /// Threads executing a batch, counting the batch's own thread (the caller
   /// or the async scheduler); the pool gets the rest. 0 = hardware concurrency.
   std::size_t num_threads = 0;
-  /// Async scheduler: largest batch gathered from the submission queue.
+  /// Async scheduler: largest batch gathered from the submission queue
+  /// (0 acts as 1: every batch takes at least one request).
   std::size_t max_batch = 32;
   /// Async scheduler: how long the first request of a batch may wait for
   /// company, in microseconds. 0 disables lingering (greedy batches).
@@ -128,10 +129,6 @@ class SearchEngine {
   /// Distance metric of the served index (cached at construction, same
   /// reasoning as dim()).
   Metric metric() const { return metric_; }
-  /// Bits per dimension of the served index's codes (cached at
-  /// construction, same reasoning as dim()). Widths > 1 run the two-stage
-  /// error-bound scan -- see EngineStatsSnapshot::codes_refined.
-  std::size_t bits_per_dim() const { return bits_per_dim_; }
   /// Current number of ids ever assigned (racy snapshot, safe anytime).
   std::size_t size() const;
   /// Current number of live (non-deleted) vectors (racy snapshot).
@@ -237,23 +234,20 @@ class SearchEngine {
     std::mutex writer_mutex;
   };
 
-  /// Executes `n` gathered queries: one shared lock per shard, one batched
-  /// rotation, then a (query x shard) scatter whose first chunk runs on the
-  /// calling thread and the rest in one pool round (none for a one-cell
-  /// batch), then each query's merge on the calling thread. Exactly one
-  /// batch runs at a time (batch_mutex_): per-chunk scratch and the cell
-  /// buffers are reused across batches.
-  /// `statuses`, `results`, `stats` are arrays of length n. `submit_times`
+  /// Executes `n` gathered requests into `responses` (length n, default-
+  /// constructed): one shared lock per shard, one batched rotation, then a
+  /// (query x shard) scatter whose first chunk runs on the calling thread
+  /// and the rest in one pool round (none for a one-cell batch), then each
+  /// query's merge on the calling thread. Every request arrives with
+  /// options.seed set and its deadline resolved. Exactly one batch runs at
+  /// a time (batch_mutex_): per-chunk scratch and the cells are reused
+  /// across batches. The responses are recorded into the stats, also when
+  /// the batch throws (then every response is a failure). `submit_times`
   /// non-null switches the recorded per-query latency from batch execution
   /// time to submit-to-completion time (the async path, queueing included).
-  /// `infos` (length n) receives each query's scatter-gather degradation
-  /// tallies (shards_ok / shards_failed / partial).
-  void ExecuteBatch(const float* const* queries, std::size_t n,
-                    const SearchOptions* const* params,
-                    const std::uint64_t* seeds,
+  void ExecuteBatch(const SearchRequest* requests, std::size_t n,
                     const std::chrono::steady_clock::time_point* submit_times,
-                    Status* statuses, std::vector<Neighbor>* results,
-                    IvfSearchStats* stats, ShardMergeInfo* infos);
+                    SearchResponse* responses);
 
   void SchedulerLoop();
   void CompactorLoop();
@@ -269,7 +263,6 @@ class SearchEngine {
   ShardedIndex index_;
   std::size_t dim_;
   Metric metric_;
-  std::size_t bits_per_dim_;
   EngineConfig config_;
   std::size_t num_threads_;  // config_.num_threads resolved
   std::optional<ThreadPool> pool_;  // num_threads_ - 1 workers; none at 1
@@ -282,10 +275,8 @@ class SearchEngine {
   Matrix gather_buf_;   // batch x dim, for async requests
   Matrix rotated_buf_;  // batch x total_bits, the batched rotation
   std::vector<ShardedSearchScratch> worker_scratch_;  // one per chunk
-  // (query x shard) cell buffers, laid out q * num_shards + s.
-  std::vector<Status> cell_status_;
-  std::vector<std::vector<Neighbor>> cell_results_;
-  std::vector<IvfSearchStats> cell_stats_;
+  // (query x shard) cells from SearchShard, laid out q * num_shards + s.
+  std::vector<SearchResponse> cells_;
 
   // Observability. metrics_ is declared before stats_ (the collector
   // resolves its metrics out of it at construction). Traced queries write

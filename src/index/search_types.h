@@ -13,6 +13,11 @@
 //                    + optional per-query seed + per-query IdFilter
 //                    + optional deadline
 //   SearchResponse = Status + neighbors + IvfSearchStats
+//                    + partial / shards_ok / shards_failed
+//
+// Inside the layers the response is the one record of an outcome too: one
+// per (query x shard) cell, merged into the query's, counted into the
+// engine's stats.
 //
 // Every policy scans through the same fast-scan block walk; the policy only
 // decides what happens to a block's survivors (exact re-rank under

@@ -238,13 +238,8 @@ SearchResponse ShardedIndex::Search(const SearchRequest& request) const {
   ShardedSearchScratch scratch;
   SearchOptions options = request.options;
   options.ResolveDeadline(std::chrono::steady_clock::now());
-  ShardMergeInfo info;
-  response.status = SearchWithScratch(
-      request.query, nullptr, options, options.seed.value_or(0), &scratch,
-      &response.neighbors, &response.stats, &info);
-  response.partial = info.partial;
-  response.shards_ok = info.shards_ok;
-  response.shards_failed = info.shards_failed;
+  SearchInto(request.query, nullptr, options, options.seed.value_or(0),
+             &scratch, &response);
   return response;
 }
 
@@ -254,21 +249,44 @@ Status ShardedIndex::SearchWithScratch(const float* query,
                                        std::uint64_t seed,
                                        ShardedSearchScratch* scratch,
                                        std::vector<Neighbor>* out,
-                                       IvfSearchStats* stats,
-                                       ShardMergeInfo* info) const {
+                                       IvfSearchStats* stats) const {
   if (out == nullptr || scratch == nullptr) {
     return Status::InvalidArgument("null output/scratch");
   }
-  if (query == nullptr) return Status::InvalidArgument("null query");
-  if (params.k == 0) return Status::InvalidArgument("k must be positive");
-  if (shards_.empty()) return Status::FailedPrecondition("index not built");
+  // The response borrows *out, so the merge reuses the caller's capacity.
+  SearchResponse response;
+  response.neighbors.swap(*out);
+  SearchInto(query, rotated_query, params, seed, scratch, &response);
+  out->swap(response.neighbors);
+  if (stats != nullptr) *stats = response.stats;
+  return response.status;
+}
+
+void ShardedIndex::SearchInto(const float* query, const float* rotated_query,
+                              const SearchOptions& params, std::uint64_t seed,
+                              ShardedSearchScratch* scratch,
+                              SearchResponse* out) const {
+  if (query == nullptr) {
+    out->status = Status::InvalidArgument("null query");
+    return;
+  }
+  if (params.k == 0) {
+    out->status = Status::InvalidArgument("k must be positive");
+    return;
+  }
+  if (shards_.empty()) {
+    out->status = Status::FailedPrecondition("index not built");
+    return;
+  }
   if (rotated_query == nullptr) {
     // Normalize where we rotate (the IvfRabitqIndex contract): a caller
     // that pre-rotated the query guarantees it was already normalized.
     if (metric() == Metric::kCosine) {
       scratch->norm_query.assign(query, query + dim());
       if (NormalizeInPlace(scratch->norm_query.data(), dim()) == 0.0f) {
-        return Status::InvalidArgument("zero-norm query under cosine metric");
+        out->status =
+            Status::InvalidArgument("zero-norm query under cosine metric");
+        return;
       }
       query = scratch->norm_query.data();
     }
@@ -276,41 +294,27 @@ Status ShardedIndex::SearchWithScratch(const float* query,
     RotateQueryOnce(encoder(), query, scratch->rotated_query.data());
     rotated_query = scratch->rotated_query.data();
   }
-  const std::size_t S = shards_.size();
-  scratch->shard_results.resize(S);
-  scratch->shard_stats.assign(S, IvfSearchStats{});
-  scratch->shard_statuses.assign(S, Status::Ok());
-  for (std::size_t s = 0; s < S; ++s) {
-    Status& shard_status = scratch->shard_statuses[s];
-    shard_status = SearchShard(s, query, rotated_query, params, seed,
-                               &scratch->shard_scratch,
-                               &scratch->shard_results[s],
-                               &scratch->shard_stats[s]);
-    if (!shard_status.ok() &&
-        shard_status.code() != StatusCode::kDeadlineExceeded) {
-      // A hard-failed shard may have bailed before writing its output slot;
-      // drop whatever a previous query left there so the merge (which also
-      // skips failed shards) can never see stale neighbors.
-      scratch->shard_results[s].clear();
-    }
+  scratch->cells.resize(shards_.size());
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    SearchShard(s, query, rotated_query, params, seed,
+                &scratch->shard_scratch, &scratch->cells[s]);
   }
   // The per-shard scans above recorded their own spans through
   // shard_scratch.trace (when the caller set one); the gather is the merge
   // stage. The engine's scatter path times its merge chunks the same way.
   obs::ScopedSpan merge_span(scratch->shard_scratch.trace, obs::Stage::kMerge);
-  return MergeShardResults(query, params, scratch->shard_results.data(),
-                           scratch->shard_stats.data(), scratch, out, stats,
-                           scratch->shard_statuses.data(), info);
+  MergeShardResults(query, params, scratch->cells.data(), scratch, out);
 }
 
-Status ShardedIndex::SearchShard(std::size_t shard, const float* query,
-                                 const float* rotated_query,
-                                 const SearchOptions& params,
-                                 std::uint64_t seed, IvfSearchScratch* scratch,
-                                 std::vector<Neighbor>* out,
-                                 IvfSearchStats* stats) const {
-  RABITQ_FAILPOINT("sharded.search_shard",
-                   return Status::Internal("injected shard failure"));
+void ShardedIndex::SearchShard(std::size_t shard, const float* query,
+                               const float* rotated_query,
+                               const SearchOptions& params, std::uint64_t seed,
+                               IvfSearchScratch* scratch,
+                               SearchResponse* cell) const {
+  RABITQ_FAILPOINT("sharded.search_shard", {
+    cell->status = Status::Internal("injected shard failure");
+    return;
+  });
   SearchOptions shard_params = params;
   if (params.policy == RerankPolicy::kFixedCandidates) {
     // Gather estimates only; the merge selects the globally best
@@ -328,58 +332,48 @@ Status ShardedIndex::SearchShard(std::size_t shard, const float* query,
     shard_params.filter =
         params.filter.WithIdMap(local_to_global_[shard].data());
   }
-  return shards_[shard]->SearchWithScratch(query, rotated_query, shard_params,
-                                           seed, scratch, out, stats);
+  cell->status = shards_[shard]->SearchWithScratch(
+      query, rotated_query, shard_params, seed, scratch, &cell->neighbors,
+      &cell->stats);
 }
 
-Status ShardedIndex::MergeShardResults(const float* query,
-                                       const SearchOptions& params,
-                                       const std::vector<Neighbor>* shard_results,
-                                       const IvfSearchStats* shard_stats,
-                                       ShardedSearchScratch* scratch,
-                                       std::vector<Neighbor>* out,
-                                       IvfSearchStats* stats,
-                                       const Status* shard_statuses,
-                                       ShardMergeInfo* info) const {
-  if (out == nullptr || scratch == nullptr) {
-    return Status::InvalidArgument("null output/scratch");
+void ShardedIndex::MergeShardResults(const float* query,
+                                     const SearchOptions& params,
+                                     const SearchResponse* cells,
+                                     ShardedSearchScratch* scratch,
+                                     SearchResponse* out) const {
+  if (params.k == 0) {
+    *out = {Status::InvalidArgument("k must be positive"), {}, {}};
+    return;
   }
-  if (params.k == 0) return Status::InvalidArgument("k must be positive");
-  const std::size_t S = shards_.size();
+  out->stats = IvfSearchStats{};
+  out->shards_ok = 0;
+  out->shards_failed = 0;
 
-  // Per-shard degradation tallies. A deadline-exceeded shard still counts
-  // as ok (its partial candidates merge below); only hard failures are
+  // Per-cell degradation tallies. A deadline-exceeded cell still counts as
+  // ok (its partial candidates merge below); only hard failures are
   // excluded outright.
-  ShardMergeInfo local_info;
   bool any_deadline = false;
   Status first_failure = Status::Ok();
-  const auto hard_failed = [&](std::size_t s) {
-    return !shard_statuses[s].ok() &&
-           shard_statuses[s].code() != StatusCode::kDeadlineExceeded;
-  };
-  for (std::size_t s = 0; s < S; ++s) {
-    if (hard_failed(s)) {
-      ++local_info.shards_failed;
-      local_info.partial = true;
-      if (first_failure.ok()) first_failure = shard_statuses[s];
-    } else {
-      ++local_info.shards_ok;
-      if (shard_statuses[s].code() == StatusCode::kDeadlineExceeded) {
-        any_deadline = true;
-        local_info.partial = true;
-      }
-    }
-  }
-
   auto& cands = scratch->cands;
   cands.clear();
-  for (std::size_t s = 0; s < S; ++s) {
-    if (hard_failed(s)) continue;
-    for (const Neighbor& nb : shard_results[s]) {
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    const SearchResponse& cell = cells[s];
+    const bool deadline = cell.status.code() == StatusCode::kDeadlineExceeded;
+    if (!cell.ok() && !deadline) {
+      ++out->shards_failed;
+      if (first_failure.ok()) first_failure = cell.status;
+      continue;
+    }
+    ++out->shards_ok;
+    any_deadline |= deadline;
+    out->stats += cell.stats;
+    for (const Neighbor& nb : cell.neighbors) {
       cands.push_back({nb.first, local_to_global_[s][nb.second],
                        shards_[s]->vector(nb.second)});
     }
   }
+  out->partial = any_deadline || out->shards_failed > 0;
   // (key, global id) order: deterministic under duplicate keys, and -- for
   // build-order ids -- identical to the order a single-shard scan sorts its
   // candidate pool into.
@@ -388,11 +382,6 @@ Status ShardedIndex::MergeShardResults(const float* query,
                const ShardedSearchScratch::MergeCand& b) {
               return a.key != b.key ? a.key < b.key : a.gid < b.gid;
             });
-
-  IvfSearchStats agg;
-  for (std::size_t s = 0; s < S; ++s) {
-    if (!hard_failed(s)) agg += shard_stats[s];
-  }
 
   if (params.policy == RerankPolicy::kFixedCandidates) {
     // The globally best max(k, R) estimates, re-ranked exactly -- the same
@@ -406,29 +395,27 @@ Status ShardedIndex::MergeShardResults(const float* query,
       heap.Push(MetricDistance(metric(), cands[i].vec, query, d),
                 cands[i].gid);
     }
-    *out = heap.ExtractSorted();
-    agg.candidates_reranked += keep;
+    out->neighbors = heap.ExtractSorted();
+    out->stats.candidates_reranked += keep;
   } else {
     // kErrorBound carries exact distances, kNone carries estimates; both
     // merge to the k globally smallest keys.
     const std::size_t keep = std::min(params.k, cands.size());
-    out->resize(keep);
+    out->neighbors.resize(keep);
     for (std::size_t i = 0; i < keep; ++i) {
-      (*out)[i] = {cands[i].key, cands[i].gid};
+      out->neighbors[i] = {cands[i].key, cands[i].gid};
     }
   }
-  if (stats != nullptr) *stats = agg;
-  if (info != nullptr) *info = local_info;
   // Degraded-but-useful beats failed: only an all-shards-down fan-out
   // surfaces the shard error itself. A deadline anywhere dominates hard
   // failures -- the caller asked for time bounds and got partial results.
   if (any_deadline) {
-    return Status::DeadlineExceeded("query deadline exceeded mid-scan");
+    out->status = Status::DeadlineExceeded("query deadline exceeded mid-scan");
+  } else if (out->shards_ok == 0) {
+    out->status = first_failure;
+  } else {
+    out->status = Status::Ok();
   }
-  if (local_info.shards_failed > 0 && local_info.shards_ok == 0) {
-    return first_failure;
-  }
-  return Status::Ok();
 }
 
 Status ShardedIndex::Add(const float* vec, std::uint32_t* id_out) {

@@ -74,18 +74,6 @@ struct ShardedConfig {
   RabitqConfig rabitq;
 };
 
-/// Outcome of the scatter-gather fan-out, filled by MergeShardResults: how
-/// many shards contributed to the merge, how many were excluded by a hard
-/// failure, and whether the merged result is partial (a shard tripped its
-/// deadline mid-scan, or failed outright). The serving layers copy these
-/// into SearchResponse so a caller can tell a complete answer from a
-/// degraded one.
-struct ShardMergeInfo {
-  std::uint32_t shards_ok = 0;
-  std::uint32_t shards_failed = 0;
-  bool partial = false;
-};
-
 /// Reusable workspace for ShardedIndex::SearchWithScratch and
 /// MergeShardResults. Never share one scratch between concurrent callers.
 struct ShardedSearchScratch {
@@ -98,9 +86,7 @@ struct ShardedSearchScratch {
   };
 
   IvfSearchScratch shard_scratch;
-  std::vector<std::vector<Neighbor>> shard_results;
-  std::vector<IvfSearchStats> shard_stats;
-  std::vector<Status> shard_statuses;
+  std::vector<SearchResponse> cells;  // one per shard, from SearchShard
   std::vector<float> rotated_query;
   std::vector<float> norm_query;  // cosine: unit-normalized query copy
   std::vector<MergeCand> cands;
@@ -167,22 +153,19 @@ class ShardedIndex {
   /// request); options.seed unset means seed 0.
   SearchResponse Search(const SearchRequest& request) const;
 
-  /// Search core with caller-owned workspace (see IvfRabitqIndex contract).
-  /// Shard failures are ISOLATED: a shard that fails hard contributes
-  /// nothing to the merge, a shard that trips params.deadline contributes
-  /// its partial candidates; `*info` (optional) reports the tallies. The
-  /// returned status is Ok while at least one shard merged cleanly and no
-  /// deadline tripped, kDeadlineExceeded when any shard ran out of time
-  /// (merged results are still written), and the first shard error only
-  /// when EVERY shard failed hard.
+  /// Search core with caller-owned workspace (see IvfRabitqIndex contract):
+  /// the scatter+merge of Search, handing back the response's neighbors,
+  /// stats (optional) and status. Shard failures degrade the answer as
+  /// MergeShardResults describes.
   Status SearchWithScratch(const float* query, const float* rotated_query,
                            const SearchOptions& params, std::uint64_t seed,
                            ShardedSearchScratch* scratch,
                            std::vector<Neighbor>* out,
-                           IvfSearchStats* stats = nullptr,
-                           ShardMergeInfo* info = nullptr) const;
+                           IvfSearchStats* stats = nullptr) const;
 
-  /// Scatter half: searches ONE shard, returning shard-LOCAL candidates.
+  /// Scatter half: searches ONE shard into `*cell` -- its status, its
+  /// shard-LOCAL candidates and its stats (a hard-failed cell may keep a
+  /// previous query's neighbors and stats; the merge skips them).
   /// kErrorBound runs unchanged (exact per-shard top-k); kFixedCandidates
   /// is mapped to an estimate gather (policy kNone, k = max(k, R)) so the
   /// merge can split the re-rank budget globally; kNone runs unchanged.
@@ -192,29 +175,28 @@ class ShardedIndex {
   /// inherits the per-shard fast path of IvfRabitqIndex::SearchWithScratch
   /// (nprobe-aware partial probe ordering, the fused estimate+prune
   /// kernel), so the scatter cost scales with nprobe, not num_lists.
-  Status SearchShard(std::size_t shard, const float* query,
-                     const float* rotated_query, const SearchOptions& params,
-                     std::uint64_t seed, IvfSearchScratch* scratch,
-                     std::vector<Neighbor>* out, IvfSearchStats* stats) const;
+  void SearchShard(std::size_t shard, const float* query,
+                   const float* rotated_query, const SearchOptions& params,
+                   std::uint64_t seed, IvfSearchScratch* scratch,
+                   SearchResponse* cell) const;
 
-  /// Gather half: merges num_shards() consecutive per-shard result vectors
-  /// (local ids, from SearchShard) into the global top-k. For
+  /// Gather half: merges one query's num_shards() consecutive cells (from
+  /// SearchShard) into the global top-k and fills all of `*out`. For
   /// kFixedCandidates this selects the globally best max(k, R) estimates
-  /// and re-ranks them exactly. `shard_stats` (num_shards() entries) is
-  /// aggregated into `*stats` (optional) along with the merge's re-ranks.
-  /// `shard_statuses` (num_shards() entries) drives per-shard degradation:
-  /// a hard-failed shard's results and stats are EXCLUDED from the merge, a
-  /// kDeadlineExceeded shard's partial results are included; `*info`
-  /// (optional) reports shards_ok/shards_failed/partial. The returned
-  /// status follows the SearchWithScratch contract above.
-  Status MergeShardResults(const float* query, const SearchOptions& params,
-                           const std::vector<Neighbor>* shard_results,
-                           const IvfSearchStats* shard_stats,
-                           ShardedSearchScratch* scratch,
-                           std::vector<Neighbor>* out,
-                           IvfSearchStats* stats,
-                           const Status* shard_statuses,
-                           ShardMergeInfo* info = nullptr) const;
+  /// and re-ranks them exactly. Shard failures are ISOLATED: a hard-failed
+  /// cell is excluded (neighbors and stats), a kDeadlineExceeded cell's
+  /// partial candidates are merged. `out->stats` sums the merged cells'
+  /// stats plus the merge's re-ranks; `shards_ok` counts merged cells,
+  /// `shards_failed` excluded ones, and `partial` is set when either a
+  /// deadline tripped or a cell was excluded. `out->status` is Ok while at
+  /// least one cell merged and no deadline tripped, kDeadlineExceeded when
+  /// any cell ran out of time (its results are still merged), and the
+  /// first cell error only when EVERY cell failed hard; k == 0 is
+  /// kInvalidArgument.
+  void MergeShardResults(const float* query, const SearchOptions& params,
+                         const SearchResponse* cells,
+                         ShardedSearchScratch* scratch,
+                         SearchResponse* out) const;
 
   /// Appends one vector: ReserveId + CompleteAdd (single-writer callers).
   Status Add(const float* vec, std::uint32_t* id_out = nullptr);
@@ -256,6 +238,14 @@ class ShardedIndex {
 
  private:
   static constexpr std::uint32_t kPendingLocal = 0xFFFFFFFFu;
+
+  /// The scatter+merge behind Search and SearchWithScratch: validates and
+  /// (unless `rotated_query` is given) normalizes and rotates the query,
+  /// runs one SearchShard per shard into scratch->cells, then merges them
+  /// into `*out`.
+  void SearchInto(const float* query, const float* rotated_query,
+                  const SearchOptions& params, std::uint64_t seed,
+                  ShardedSearchScratch* scratch, SearchResponse* out) const;
 
   /// Rebuilds id_shard_/id_local_ from local_to_global_; fails closed if
   /// the maps are not a bijection onto [0, next_id_).

@@ -1,8 +1,9 @@
 // Tests for the concurrent query-serving engine: batched execution parity
 // with the sequential search path (bit-identical results), which threads
 // run a batch, multi-threaded stress through both SearchBatch and
-// SubmitAsync, concurrent insert+search coordination, stats accounting, and
-// error propagation.
+// SubmitAsync, concurrent insert+search coordination, stats accounting,
+// error propagation, and degenerate configurations (an unbuilt index,
+// max_batch = 0).
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include <filesystem>
 #include <future>
 #include <iterator>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <set>
@@ -430,6 +432,53 @@ TEST_F(EngineTestFixture, StartsOnePoolWorkerPerExtraThread) {
     config.num_threads = num_threads;
     SearchEngine engine(std::move(index), config);
     EXPECT_EQ(count_threads() - before, num_threads + 1)
+        << "num_threads = " << num_threads;
+  }
+}
+
+// max_batch = 0 acts as 1: the scheduler still takes one request per batch,
+// so async queries resolve and Drain returns.
+TEST_F(EngineTestFixture, MaxBatchZeroStillServesAsync) {
+  EngineConfig config;
+  config.num_threads = 2;
+  config.max_batch = 0;
+  auto engine = std::make_unique<SearchEngine>(BuildIndex(data_, 16), config);
+  SearchRequest request{queries_.Row(0), params_};
+  request.options.seed = SearchEngine::QuerySeed(kSeedBase, 0);
+  std::future<SearchResponse> future = engine->SubmitAsync(request);
+  if (future.wait_for(std::chrono::seconds(10)) !=
+      std::future_status::ready) {
+    // A wedged scheduler would also hang the destructor's Drain; leak the
+    // engine so the failure reports instead of hanging the suite.
+    (void)engine.release();
+    FAIL() << "SubmitAsync never resolved with max_batch = 0";
+  }
+  const SearchResponse async = future.get();
+  const SearchResponse sync = engine->Search(request);
+  ASSERT_TRUE(async.ok()) << async.status.ToString();
+  ASSERT_TRUE(sync.ok()) << sync.status.ToString();
+  ExpectSameNeighbors(async.neighbors, sync.neighbors);
+  engine->Drain();
+}
+
+// An engine over an unbuilt index constructs, fails every search with
+// FailedPrecondition (counted in the stats), refuses mutations and shuts
+// down cleanly.
+TEST(EngineTest, UnbuiltIndexFailsSearchesAndShutsDown) {
+  const std::vector<float> query(8, 1.0f);
+  for (const std::size_t num_threads : {1, 2}) {
+    EngineConfig config;
+    config.num_threads = num_threads;
+    SearchEngine engine(ShardedIndex{}, config);
+    SearchRequest request{query.data(), SearchOptions{}};
+    EXPECT_EQ(engine.Search(request).status.code(),
+              StatusCode::kFailedPrecondition);
+    EXPECT_EQ(engine.SubmitAsync(request).get().status.code(),
+              StatusCode::kFailedPrecondition);
+    EXPECT_EQ(engine.Insert(query.data()).code(),
+              StatusCode::kFailedPrecondition);
+    EXPECT_EQ(engine.Delete(0).code(), StatusCode::kNotFound);
+    EXPECT_EQ(engine.Stats().search_errors, 2u)
         << "num_threads = " << num_threads;
   }
 }

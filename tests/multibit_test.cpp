@@ -678,7 +678,7 @@ TEST_F(MultibitSearchTest, ShardedAndEngineServeMultiBit) {
   EngineConfig engine_config;
   engine_config.num_threads = 2;
   SearchEngine engine(std::move(sharded), engine_config);
-  EXPECT_EQ(engine.bits_per_dim(), 4u);
+  EXPECT_EQ(engine.index().shard(0).encoder().config().bits_per_dim, 4u);
   std::vector<SearchResponse> responses;
   ASSERT_TRUE(
       engine.SearchBatch(requests.data(), requests.size(), &responses).ok());

@@ -70,6 +70,32 @@ void ExpectSameNeighbors(const std::vector<Neighbor>& a,
   }
 }
 
+// Every IvfSearchStats field, the double sums bit for bit.
+void ExpectSameStats(const IvfSearchStats& a, const IvfSearchStats& b,
+                     const char* what) {
+  EXPECT_EQ(a.codes_estimated, b.codes_estimated) << what;
+  EXPECT_EQ(a.candidates_reranked, b.candidates_reranked) << what;
+  EXPECT_EQ(a.lists_probed, b.lists_probed) << what;
+  EXPECT_EQ(a.codes_filtered, b.codes_filtered) << what;
+  EXPECT_EQ(a.codes_refined, b.codes_refined) << what;
+  EXPECT_EQ(a.rerank_bound_violations, b.rerank_bound_violations) << what;
+  EXPECT_EQ(a.rerank_health_samples, b.rerank_health_samples) << what;
+  EXPECT_EQ(a.rerank_signed_err_sum, b.rerank_signed_err_sum) << what;
+  EXPECT_EQ(a.rerank_tightness_sum, b.rerank_tightness_sum) << what;
+}
+
+// The whole response of a complete fan-out over `num_shards` shards: the
+// same status, neighbors and stats as `want`, no shard lost.
+void ExpectSameResponse(const SearchResponse& got, const SearchResponse& want,
+                        std::size_t num_shards, const char* what) {
+  EXPECT_EQ(got.status.code(), want.status.code()) << what;
+  ExpectSameNeighbors(got.neighbors, want.neighbors, what);
+  ExpectSameStats(got.stats, want.stats, what);
+  EXPECT_FALSE(got.partial) << what;
+  EXPECT_EQ(got.shards_ok, num_shards) << what;
+  EXPECT_EQ(got.shards_failed, 0u) << what;
+}
+
 // Exact top-k over the live rows, with the library's (dist, id) tie order.
 std::vector<Neighbor> BruteForceLive(const Matrix& data, const float* query,
                                      std::size_t k,
@@ -238,14 +264,17 @@ TEST_F(ShardedTest, PerShardClusteringExhaustiveMatchesOracle) {
   }
 }
 
-// Engine parity: SearchBatch over a sharded engine is bit-identical to the
-// sequential ShardedIndex::Search with the engine's per-query seed stream,
-// and (under shared clustering) to the single-shard sequential reference.
+// Engine parity: SearchBatch, Search and SubmitAsync over a sharded engine
+// return the whole response of the sequential ShardedIndex::Search at the
+// same seeds (status, neighbors, stats, shard tallies), the neighbors are
+// (under shared clustering) those of the single-shard sequential reference,
+// and the engine's work counters are the sums over its responses.
 TEST_F(ShardedTest, EngineSearchBatchMatchesSequential) {
   constexpr std::uint64_t kSeedBase = 121;
   const IvfRabitqIndex single = BuildSingle(data_);
+  const std::size_t num_shards = EnvShards(4);
   ShardedIndex sharded =
-      BuildSharded(EnvShards(4), ShardClustering::kShared, data_);
+      BuildSharded(num_shards, ShardClustering::kShared, data_);
 
   SearchOptions params;
   params.k = 10;
@@ -258,6 +287,9 @@ TEST_F(ShardedTest, EngineSearchBatchMatchesSequential) {
     requests[i].options.seed = SearchEngine::QuerySeed(kSeedBase, i);
     reference[i] = sharded.Search(requests[i]);
     ASSERT_TRUE(reference[i].ok());
+    EXPECT_FALSE(reference[i].partial);
+    EXPECT_EQ(reference[i].shards_ok, num_shards);
+    EXPECT_EQ(reference[i].shards_failed, 0u);
   }
 
   EngineConfig config;
@@ -266,25 +298,35 @@ TEST_F(ShardedTest, EngineSearchBatchMatchesSequential) {
   std::vector<SearchResponse> results;
   ASSERT_TRUE(engine.SearchBatch(requests.data(), kNumQueries, &results).ok());
   ASSERT_EQ(results.size(), kNumQueries);
-  IvfSearchStats agg;
+  IvfSearchStats served;  // summed over every response the engine returned
   for (std::size_t i = 0; i < kNumQueries; ++i) {
-    ExpectSameNeighbors(results[i].neighbors, reference[i].neighbors,
-                        "engine-vs-sequential");
+    ExpectSameResponse(results[i], reference[i], num_shards,
+                       "batch-vs-sequential");
     const SearchResponse single_ref = single.Search(requests[i]);
     ASSERT_TRUE(single_ref.ok());
     ExpectSameNeighbors(results[i].neighbors, single_ref.neighbors,
                         "engine-vs-single-shard");
-    agg += results[i].stats;
+    served += results[i].stats;
   }
-  EXPECT_GT(agg.codes_estimated, 0u);
+  EXPECT_GT(served.codes_estimated, 0u);
 
-  // Async path with explicit seeds agrees too.
-  for (std::size_t i = 0; i < 8; ++i) {
-    const SearchResponse result = engine.SubmitAsync(requests[i]).get();
-    ASSERT_TRUE(result.status.ok());
-    ExpectSameNeighbors(result.neighbors, reference[i].neighbors,
-                        "async-vs-sequential");
+  // Single-query Search and the async path with explicit seeds agree too.
+  for (std::size_t i = 0; i < kNumQueries; ++i) {
+    const SearchResponse sync = engine.Search(requests[i]);
+    ExpectSameResponse(sync, reference[i], num_shards, "search-vs-sequential");
+    served += sync.stats;
+    const SearchResponse async = engine.SubmitAsync(requests[i]).get();
+    ExpectSameResponse(async, reference[i], num_shards, "async-vs-sequential");
+    served += async.stats;
   }
+
+  const EngineStatsSnapshot stats = engine.Stats();
+  EXPECT_EQ(stats.queries, 3 * kNumQueries);
+  EXPECT_EQ(stats.codes_estimated, served.codes_estimated);
+  EXPECT_EQ(stats.candidates_reranked, served.candidates_reranked);
+  EXPECT_EQ(stats.lists_probed, served.lists_probed);
+  EXPECT_EQ(stats.codes_filtered, served.codes_filtered);
+  EXPECT_EQ(stats.codes_refined, served.codes_refined);
 }
 
 // Round-robin id placement and the mutation surface: ids hash to id % S,
