@@ -749,7 +749,6 @@ int Run(int argc, char** argv) {
       overload_config.port = 0;
       overload_config.collections.engine.num_threads = max_threads;
       overload_config.collections.engine.max_batch = 4;
-      overload_config.collections.engine.batch_linger_us = 0;
       // Sized so 2x the saturating concurrency cannot all fit: the excess
       // is the measured rejection rate rather than invisible queueing.
       overload_config.collections.engine.max_queue_depth =

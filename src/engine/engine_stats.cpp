@@ -52,10 +52,10 @@ EngineStatsCollector::EngineStatsCollector(obs::MetricsRegistry* registry)
           "Re-ranked candidates contributing to the health means")),
       signed_err_sum_(registry->GetFloatCounter(
           "rabitq_rerank_signed_err_sum",
-          "Sum of (estimate - exact) / exact at re-rank")),
+          "Sum of (estimate - exact) / |exact| at re-rank")),
       tightness_sum_(registry->GetFloatCounter(
           "rabitq_rerank_tightness_sum",
-          "Sum of lower_bound / exact at re-rank")),
+          "Sum of 1 - (exact - lower_bound) / |exact| at re-rank")),
       latency_(registry->GetHistogram("rabitq_query_latency_us",
                                       "Per-query latency in microseconds")) {}
 

@@ -65,7 +65,7 @@ struct EngineStatsSnapshot {
   std::uint64_t rerank_health_samples = 0;
   /// rerank_bound_violations / candidates_reranked; tracks P(Z > eps0).
   double eps0_violation_rate = 0.0;
-  /// Mean of (estimate - exact) / exact; ~0 iff the estimator is unbiased.
+  /// Mean of (estimate - exact) / |exact|; ~0 iff the estimator is unbiased.
   double rerank_signed_err_mean = 0.0;
   /// Mean of 1 - (exact - lower_bound) / |exact| in (0, 1]; how tight the
   /// bound runs (1 = bound hugging the exact score).

@@ -1,9 +1,9 @@
 // Micro-batching submission queue: many producer threads Push search
 // requests; the engine's single scheduler thread PopBatch-es them. PopBatch
-// blocks until at least one request arrives, then lingers a bounded time for
-// the batch to fill toward max_batch -- trading a small, configurable latency
-// hit for the amortization wins of batch execution (one batched rotation, one
-// worker fan-out, one stats update per batch instead of per query).
+// is greedy: it blocks until at least one request arrives, then takes
+// whatever is queued (up to max_batch) and never waits for more. Batches
+// still form under load, from the requests that arrive while the previous
+// batch runs, and a lone request runs as soon as the scheduler is free.
 //
 // The queue is the engine's admission-control point: a capacity bound makes
 // Push refuse work once the backlog hits it (bounded memory under overload),
@@ -65,34 +65,26 @@ class RequestQueue {
   }
 
   /// Blocks until a request is available or the queue is closed, then moves
-  /// up to `max_batch` requests (0 acts as 1) into `*out` (cleared first),
-  /// waiting at most `linger` after the first request for the batch to
-  /// fill. When `shed` is non-null, requests whose resolved deadline already
-  /// expired while they waited are moved there instead of into `*out` (they
-  /// do not count toward max_batch): under overload, queue time eats the
-  /// whole budget and executing such a query wastes a batch slot on a
-  /// guaranteed kDeadlineExceeded. Returns false only when the queue is
-  /// closed AND drained -- the scheduler's exit condition, which guarantees
-  /// every accepted request is answered (served or shed).
-  bool PopBatch(std::size_t max_batch, std::chrono::microseconds linger,
-                std::vector<QueuedQuery>* out,
-                std::vector<QueuedQuery>* shed = nullptr) {
+  /// up to `max_batch` of the queued requests (0 acts as 1) into `*out`
+  /// (cleared first) without waiting for more. Requests whose resolved
+  /// deadline already expired while they waited go to `*shed` (cleared
+  /// first) instead and do not count toward max_batch: under overload,
+  /// queue time eats the whole budget and executing such a query wastes a
+  /// batch slot on a guaranteed kDeadlineExceeded. Returns false only when
+  /// the queue is closed AND drained -- the scheduler's exit condition,
+  /// which guarantees every accepted request is answered (served or shed).
+  bool PopBatch(std::size_t max_batch, std::vector<QueuedQuery>* out,
+                std::vector<QueuedQuery>* shed) {
     max_batch = std::max<std::size_t>(max_batch, 1);
     out->clear();
-    if (shed != nullptr) shed->clear();
+    shed->clear();
     std::unique_lock<std::mutex> lock(mutex_);
     ready_.wait(lock, [this] { return closed_ || !queue_.empty(); });
     if (queue_.empty()) return false;  // closed and drained
-    if (queue_.size() < max_batch && !closed_ && linger.count() > 0) {
-      ready_.wait_for(lock, linger, [this, max_batch] {
-        return closed_ || queue_.size() >= max_batch;
-      });
-    }
     const auto now = std::chrono::steady_clock::now();
     while (!queue_.empty() && out->size() < max_batch) {
       QueuedQuery& front = queue_.front();
       const bool expired =
-          shed != nullptr &&
           front.options.deadline != SearchOptions::kNoDeadline &&
           now >= front.options.deadline;
       (expired ? shed : out)->push_back(std::move(front));
@@ -110,14 +102,9 @@ class RequestQueue {
     ready_.notify_all();
   }
 
-  std::size_t size() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return queue_.size();
-  }
-
  private:
   const std::size_t capacity_;
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable ready_;
   std::deque<QueuedQuery> queue_;
   bool closed_ = false;

@@ -52,7 +52,7 @@ SearchEngine::SearchEngine(ShardedIndex index, const EngineConfig& config)
       "Mean signed relative error of the estimate at re-rank");
   gauge_tightness_mean_ = metrics_.GetGauge(
       "rabitq_rerank_tightness_mean",
-      "Mean lower_bound / exact distance ratio at re-rank");
+      "Mean of 1 - (exact - lower_bound) / |exact| at re-rank");
   for (std::size_t s = 0; s < index_.num_shards(); ++s) {
     sync_.push_back(std::make_unique<ShardSync>());
   }
@@ -609,9 +609,7 @@ void SearchEngine::SchedulerLoop() {
   std::vector<SearchRequest> requests;
   std::vector<std::chrono::steady_clock::time_point> submit_times;
   std::vector<SearchResponse> responses;
-  while (queue_.PopBatch(config_.max_batch,
-                         std::chrono::microseconds(config_.batch_linger_us),
-                         &batch, &shed)) {
+  while (queue_.PopBatch(config_.max_batch, &batch, &shed)) {
     // Shed queries fail without executing: their deadline expired while
     // they waited, so the kindest answer is an immediate one.
     for (QueuedQuery& dropped : shed) {

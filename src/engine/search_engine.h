@@ -11,16 +11,17 @@
 //     a private ThreadPool the rest. Each chunk owns its scratch, so the
 //     hot path stops allocating once the buffers reach steady state.
 //   * Micro-batching (SubmitAsync): producers enqueue single queries and get
-//     futures; a scheduler thread gathers the queue into batches (up to
-//     max_batch, lingering batch_linger_us) and runs them through the same
-//     batched path, amortizing the per-batch costs across concurrent callers.
+//     futures; a scheduler thread takes whatever is queued (up to max_batch)
+//     whenever it is free and runs it through the same batched path. It
+//     never waits for a batch to fill: a lone request runs at once, and
+//     under load the requests that arrive while one batch runs form the
+//     next, sharing its rotation and pool round.
 //   * Read/write coordination, PER SHARD: every batch executes against a
 //     consistent snapshot (shared lock on every shard for the batch's
 //     duration); Insert/Delete/Update lock only the ONE shard their id
 //     hashes to -- exclusively for the index mutation, plus that shard's
-//     writer mutex for the logical span. Mutations to different shards no
-//     longer contend, which is the write-scaling point of sharding; the
-//     engine-wide single writer mutex of the unsharded engine is gone.
+//     writer mutex for the logical span. Mutations to different shards do
+//     not contend, which is the write-scaling point of sharding.
 //   * Background compaction: when a mutation pushes a list's tombstone
 //     ratio past EngineConfig::compaction_tombstone_ratio, a maintenance
 //     thread rebuilds that (shard, list). The rebuild (plan) runs under the
@@ -63,16 +64,13 @@ struct EngineConfig {
   /// Threads executing a batch, counting the batch's own thread (the caller
   /// or the async scheduler); the pool gets the rest. 0 = hardware concurrency.
   std::size_t num_threads = 0;
-  /// Async scheduler: largest batch gathered from the submission queue
-  /// (0 acts as 1: every batch takes at least one request).
+  /// Async scheduler: most requests one batch takes from the submission
+  /// queue. The scheduler takes what is queued, up to this many, and never
+  /// waits for more (0 acts as 1: every batch takes at least one request).
   std::size_t max_batch = 32;
-  /// Async scheduler: how long the first request of a batch may wait for
-  /// company, in microseconds. 0 disables lingering (greedy batches).
-  std::size_t batch_linger_us = 200;
   /// Bounded admission: SubmitAsync fails fast with kResourceExhausted once
   /// this many requests are queued, so a flood of producers cannot grow the
-  /// backlog (and its memory) without limit. 0 means unbounded -- the
-  /// pre-robustness behavior.
+  /// backlog (and its memory) without limit. 0 means unbounded.
   std::size_t max_queue_depth = 16384;
   /// Base of the per-query seed derivation (see QuerySeed).
   std::uint64_t seed = 0x5EEDC0FFEE5EEDULL;

@@ -231,13 +231,14 @@ struct IvfSearchStats {
   /// violation rate, which should track the Gaussian tail P(Z > eps0)
   /// (~2.9% at the paper's eps0 = 1.9; see error_bound_property_test).
   std::size_t rerank_bound_violations = 0;
-  /// Re-ranked candidates with exact > 0 (denominator of the two sums).
+  /// Re-ranked candidates with exact != 0 (denominator of the two sums).
   std::size_t rerank_health_samples = 0;
-  /// Sum of (estimate - exact) / exact over health samples; its mean near 0
-  /// is the live check of the estimator's unbiasedness (Theorem 3.2).
+  /// Sum of (estimate - exact) / |exact| over health samples; its mean near
+  /// 0 is the live check of the estimator's unbiasedness (Theorem 3.2).
   double rerank_signed_err_sum = 0.0;
-  /// Sum of lower_bound / exact over health samples; its mean in (0, 1]
-  /// measures how tight the bound runs (1 = exact, -> 0 = vacuous).
+  /// Sum of 1 - (exact - lower_bound) / |exact| over health samples; its
+  /// mean in (0, 1] measures how tight the bound runs (1 = the bound touches
+  /// the exact score, smaller = slacker), under every metric.
   double rerank_tightness_sum = 0.0;
 
   /// Field-wise sum: the one way shards, batches and callers aggregate.

@@ -215,7 +215,6 @@ TEST_F(EngineTestFixture, MultiThreadedStressMatchesSequentialSearch) {
   EngineConfig config;
   config.num_threads = 4;
   config.max_batch = 8;
-  config.batch_linger_us = 100;
   SearchEngine engine(std::move(index), config);
 
   constexpr std::size_t kProducers = 4;
@@ -309,8 +308,8 @@ TEST_F(EngineTestFixture, ConcurrentInsertAndSearch) {
     ASSERT_TRUE(engine.Insert(new_vectors.Row(i), &inserted_ids[i]).ok());
   }
   // The inserts can outrun the first async search; keep the searchers alive
-  // until at least one result lands so the >0 assertion below is not a race
-  // against the micro-batching linger. Deadline-bounded so a searcher
+  // until at least one result lands so the >0 assertion below does not
+  // race the searcher threads' start-up. Deadline-bounded so a searcher
   // regression fails the test instead of hanging it.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);

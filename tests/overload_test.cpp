@@ -14,16 +14,14 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <future>
-#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "engine/search_engine.h"
+#include "gate.h"
 #include "index/ivf.h"
 #include "index/sharded.h"
 #include "linalg/vector_ops.h"
@@ -66,38 +64,6 @@ void ExpectSameNeighbors(const std::vector<Neighbor>& a,
   }
 }
 
-// A filter predicate that blocks its first caller until Open(): submitted
-// with one "blocker" query, it wedges the scheduler mid-batch so the test
-// can fill the queue behind it. Thread-safe (the predicate contract).
-struct Gate {
-  std::mutex m;
-  std::condition_variable cv;
-  bool open = false;
-  std::atomic<bool> entered{false};
-
-  static bool BlockUntilOpen(void* context, std::uint32_t /*id*/) {
-    Gate* gate = static_cast<Gate*>(context);
-    gate->entered.store(true, std::memory_order_release);
-    std::unique_lock<std::mutex> lock(gate->m);
-    gate->cv.wait(lock, [gate] { return gate->open; });
-    return true;
-  }
-
-  void Open() {
-    {
-      std::lock_guard<std::mutex> lock(m);
-      open = true;
-    }
-    cv.notify_all();
-  }
-
-  void AwaitEntered() {
-    while (!entered.load(std::memory_order_acquire)) {
-      std::this_thread::yield();
-    }
-  }
-};
-
 class OverloadTest : public ::testing::Test {
  protected:
   static constexpr std::size_t kN = 1024;
@@ -110,13 +76,12 @@ class OverloadTest : public ::testing::Test {
     params_.nprobe = 6;
   }
 
-  // An engine whose scheduler serves one query at a time with no lingering,
-  // so a gate-blocked batch wedges it completely.
+  // An engine whose scheduler serves one query at a time, so a
+  // gate-blocked batch wedges it completely.
   SearchEngine MakeWedgeableEngine(std::size_t max_queue_depth) {
     EngineConfig config;
     config.num_threads = 2;
     config.max_batch = 1;
-    config.batch_linger_us = 0;
     config.max_queue_depth = max_queue_depth;
     return SearchEngine(BuildIndex(data_, 8), config);
   }
@@ -224,6 +189,59 @@ TEST_F(OverloadTest, QueuedRequestsPastDeadlineAreShed) {
   const EngineStatsSnapshot stats = engine.Stats();
   EXPECT_EQ(stats.queries_shed, kDoomed);
   EXPECT_EQ(stats.queries_rejected, 0u);
+}
+
+// Batch formation is greedy and capped by max_batch: a backlog queued
+// behind the wedged scheduler drains as one full batch of max_batch and one
+// of the rest, and a lone request afterwards runs as a batch of its own.
+// Batching never changes an answer: each equals the synchronous path's at
+// the same seed.
+TEST_F(OverloadTest, BacklogRunsInGreedyBatchesCappedByMaxBatch) {
+  EngineConfig config;
+  config.num_threads = 2;
+  config.max_batch = 3;
+  SearchEngine engine(BuildIndex(data_, 8), config);
+
+  Gate gate;
+  SearchRequest blocker = PlainRequest(0);
+  blocker.options.filter =
+      IdFilter::FromPredicate(&Gate::BlockUntilOpen, &gate);
+  std::future<SearchResponse> blocked = engine.SubmitAsync(blocker);
+  gate.AwaitEntered();  // the blocker is a batch of one, parked in its scan
+
+  constexpr std::size_t kBacklog = 5;
+  std::vector<SearchRequest> backlog;
+  std::vector<std::future<SearchResponse>> futures;
+  for (std::size_t i = 0; i < kBacklog; ++i) {
+    SearchRequest request = PlainRequest(1 + i);
+    request.options.seed = 700 + i;
+    backlog.push_back(request);
+    futures.push_back(engine.SubmitAsync(request));
+  }
+  gate.Open();
+  EXPECT_TRUE(blocked.get().ok());
+  std::vector<SearchResponse> answers;
+  for (auto& future : futures) answers.push_back(future.get());
+
+  EngineStatsSnapshot stats = engine.Stats();
+  EXPECT_EQ(stats.batches, 3u);  // 1 + 3 + 2
+  EXPECT_EQ(stats.queries, 1 + kBacklog);
+
+  SearchRequest lone = PlainRequest(6);
+  lone.options.seed = 800;
+  const SearchResponse lone_answer = engine.SubmitAsync(lone).get();
+  stats = engine.Stats();
+  EXPECT_EQ(stats.batches, 4u);
+  EXPECT_EQ(stats.queries, 2 + kBacklog);
+
+  // The synchronous references run last: they count as batches too.
+  for (std::size_t i = 0; i < kBacklog; ++i) {
+    ASSERT_TRUE(answers[i].ok()) << answers[i].status.message();
+    ExpectSameNeighbors(engine.Search(backlog[i]).neighbors,
+                        answers[i].neighbors);
+  }
+  ASSERT_TRUE(lone_answer.ok()) << lone_answer.status.message();
+  ExpectSameNeighbors(engine.Search(lone).neighbors, lone_answer.neighbors);
 }
 
 // An already-expired deadline on the synchronous path returns immediately:

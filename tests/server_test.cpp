@@ -28,11 +28,13 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "engine/search_engine.h"
+#include "gate.h"
 #include "index/sharded.h"
 #include "server/client.h"
 #include "server/server.h"
@@ -239,28 +241,50 @@ TEST_F(ServerTest, PredicateFilterCannotCrossTheWire) {
 }
 
 // Overload degradation crosses the wire: a request whose deadline expires
-// while queued (forced deterministically by a linger much longer than the
-// budget) answers kDeadlineExceeded with the partial flag set -- the same
-// shape the in-process overload tests pin.
+// while queued answers kDeadlineExceeded with the partial flag set -- the
+// same shape the in-process overload tests pin. The collection's engine is
+// wedged behind an in-process Gate request, so the wire request waits in
+// the queue past its 1 us budget and is shed when popped, never scanned.
 TEST_F(ServerTest, QueuedDeadlineShedCrossesTheWireAsPartial) {
-  ServerConfig config = BaseConfig();
-  config.collections.engine.max_batch = 32;
-  config.collections.engine.batch_linger_us = 5000;
-  Server server(config);
+  Server server(BaseConfig());
   ASSERT_TRUE(server.Start().ok());
   Client client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
   ASSERT_TRUE(
       client.CreateCollection("shed", Spec(Metric::kL2, 1), data_).ok());
+  SearchEngine* engine = server.collections()->Get("shed")->engine.get();
 
-  SearchOptions options = SeededOptions(9);
-  options.timeout_us = 1;  // resolved at admission; long dead after linger
-  const SearchResponse response =
-      client.Search("shed", queries_.Row(0), kDim, options);
+  Gate gate;
+  SearchRequest blocker{queries_.Row(1), SeededOptions(8)};
+  blocker.options.filter =
+      IdFilter::FromPredicate(&Gate::BlockUntilOpen, &gate);
+  std::future<SearchResponse> blocked = engine->SubmitAsync(blocker);
+  gate.AwaitEntered();
+
+  // The wire search blocks until answered, so it runs on a helper thread;
+  // the server's request counter shows when its frame has arrived.
+  const obs::Counter* requests =
+      server.metrics()->GetCounter("rabitq_server_requests_total");
+  const std::uint64_t requests_before = requests->Value();
+  SearchResponse response;
+  std::thread searcher([&] {
+    SearchOptions options = SeededOptions(9);
+    options.timeout_us = 1;  // resolved at admission; spent while wedged
+    response = client.Search("shed", queries_.Row(0), kDim, options);
+  });
+  while (requests->Value() == requests_before) std::this_thread::yield();
+  // The frame is counted before it is decoded and queued; let it reach the
+  // queue before the gate opens.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  gate.Open();
+  searcher.join();
+  EXPECT_TRUE(blocked.get().ok());
+
   EXPECT_EQ(response.status.code(), StatusCode::kDeadlineExceeded)
       << response.status.message();
   EXPECT_TRUE(response.partial);
   EXPECT_TRUE(response.neighbors.empty());
+  EXPECT_EQ(engine->Stats().queries_shed, 1u);
 
   // The connection survived the rejection; a patient request is served.
   const SearchResponse served =
