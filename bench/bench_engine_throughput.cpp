@@ -708,6 +708,7 @@ int Run(int argc, char** argv) {
     };
 
     // Saturation sweep: production-shaped engine template.
+    const std::size_t client_cap = std::max<std::size_t>(8, 2 * max_threads);
     double saturation_qps = 0.0;
     std::size_t saturation_clients = 1;
     {
@@ -722,7 +723,6 @@ int Run(int argc, char** argv) {
                 "wire Connect");
         CheckOk(admin.CreateCollection("bench", spec, data), "wire Create");
       }
-      const std::size_t client_cap = std::max<std::size_t>(8, 2 * max_threads);
       for (std::size_t clients = 1; clients <= client_cap; clients *= 2) {
         const WirePoint point = drive(wire_server.port(), clients, 0.6, 0);
         std::printf(",\n  {\"mode\":\"server\",\"clients\":%zu,"
@@ -739,20 +739,22 @@ int Run(int argc, char** argv) {
       wire_server.Wait();
     }
 
-    // Overload drill: 2x the saturating client count against the
-    // overload-tuned template. The shallow queue turns excess concurrency
-    // into immediate kResourceExhausted; the 20 ms budget sheds whatever
-    // still queues too long -- both counted below, with the engine-side
-    // shed/partial tallies read straight off the collection.
+    // Overload drill: 2x the sweep's client cap against the overload-tuned
+    // template. Sized from client_cap rather than the sweep's best row,
+    // which flips between neighbouring client counts from run to run, so
+    // every run drives the same drill. The shallow queue turns excess
+    // concurrency into immediate kResourceExhausted; the 20 ms budget sheds
+    // whatever still queues too long -- both counted below, with the
+    // engine-side shed/partial tallies read straight off the collection.
     {
       ServerConfig overload_config;
       overload_config.port = 0;
       overload_config.collections.engine.num_threads = max_threads;
       overload_config.collections.engine.max_batch = 4;
-      // Sized so 2x the saturating concurrency cannot all fit: the excess
-      // is the measured rejection rate rather than invisible queueing.
+      // Sized so 2x the sweep's concurrency cannot all fit: the excess is
+      // the measured rejection rate rather than invisible queueing.
       overload_config.collections.engine.max_queue_depth =
-          std::max<std::size_t>(2, saturation_clients / 2);
+          std::max<std::size_t>(2, client_cap / 2);
       Server overload_server(overload_config);
       CheckOk(overload_server.Start(), "wire overload Start");
       {
@@ -763,7 +765,7 @@ int Run(int argc, char** argv) {
                 "wire overload Create");
       }
       const std::size_t overload_clients =
-          std::min<std::size_t>(2 * saturation_clients, 128);
+          std::min<std::size_t>(2 * client_cap, 128);
       const std::uint64_t kBudgetUs = 20000;
       const WirePoint point =
           drive(overload_server.port(), overload_clients, 0.8, kBudgetUs);
@@ -774,11 +776,12 @@ int Run(int argc, char** argv) {
       }
       std::printf(
           ",\n  {\"mode\":\"server_overload\",\"clients\":%zu,"
-          "\"load\":\"2x\",\"saturation_qps\":%.1f,\"timeout_us\":%llu,"
+          "\"load\":\"2x\",\"saturation_qps\":%.1f,"
+          "\"saturation_clients\":%zu,\"timeout_us\":%llu,"
           "\"goodput_qps\":%.1f,\"p50_us\":%.0f,\"p99_us\":%.0f,"
           "\"served\":%zu,\"rejected\":%zu,\"deadline_exceeded\":%zu,"
           "\"shed\":%llu,\"partial\":%llu,\"errors\":%zu}",
-          overload_clients, saturation_qps,
+          overload_clients, saturation_qps, saturation_clients,
           static_cast<unsigned long long>(kBudgetUs), point.qps(),
           point.p50_us, point.p99_us, point.served, point.rejected,
           point.deadline,

@@ -11,7 +11,9 @@
 //   * the bitwise single-code estimator (B_q and+popcount passes) vs PQ's
 //     LUT-in-RAM ADC (the paper reports ~3x in RaBitQ's favor);
 //   * the shared fast-scan LUT kernel, AVX2 vs scalar;
-//   * rotation costs: dense mat-vec vs the O(B log B) FHT extension.
+//   * rotation costs: dense mat-vec vs the O(B log B) FHT extension;
+//   * per-list query preparation (PrepareQueryFromRotated), paid once per
+//     probed list.
 //
 // Usage: bench_kernels [--json [PATH]]
 //   Prints a human-readable table; with --json additionally writes the
@@ -368,6 +370,33 @@ void RunRotatorBenches(std::vector<Row>* rows) {
   }
 }
 
+// Per-list query preparation at the ladder's shape (D = B = 128, B_q = 4,
+// L2): the subtract-and-scale, the randomized rounding, the bit planes and
+// the nibble LUTs, into one reused QuantizedQuery. A fresh Rng per call, as
+// the index seeds one per (query, list).
+void RunQueryPrepBenches(std::vector<Row>* rows) {
+  RabitqEncoder encoder;
+  if (!encoder.Init(kDim, RabitqConfig{}).ok()) return;
+  Rng rng(7);
+  std::vector<float> rotated_query(kBits), rotated_centroid(kBits);
+  for (auto& v : rotated_query) v = static_cast<float>(rng.Gaussian());
+  for (auto& v : rotated_centroid) v = static_cast<float>(rng.Gaussian());
+  QuantizedQuery prepared;
+  std::uint64_t seed = 0;
+  rows->push_back({"prepare_query_rotated_128",
+                   NsPerOp(
+                       [&] {
+                         Rng list_rng(++seed);
+                         (void)PrepareQueryFromRotated(
+                             encoder, rotated_query.data(),
+                             rotated_centroid.data(), 1.0f, &list_rng,
+                             &prepared);
+                         g_sink_u = g_sink_u + prepared.sum_qu;
+                       },
+                       1),
+                   "list"});
+}
+
 void WriteJson(std::FILE* f, const std::vector<Row>& rows,
                double speedup_assemble, double speedup_assemble_vs_legacy,
                double speedup_scan) {
@@ -415,6 +444,7 @@ int Run(int argc, char** argv) {
   RunSingleCodeBenches(&rows);
   RunFastScanBenches(&rows);
   RunRotatorBenches(&rows);
+  RunQueryPrepBenches(&rows);
 
   std::printf("%-24s %14s  per\n", "kernel", "ns/op");
   for (const Row& row : rows) {

@@ -6,7 +6,17 @@
 //   B_q bit planes of q-bar_u                     (Eq. 22 bitwise path)
 //   B/4 nibble LUTs over q-bar_u                  (Section 3.3.2 batch path)
 // and the scalar factors of Eq. 20. The cost is shared by every data vector
-// scanned under this centroid.
+// scanned under this centroid. The index's fast-scan path reads q-bar_u, its
+// scalars and the LUTs; the per-code EstimateDistance* estimators read the
+// bit planes. Every Prepare* call builds all of them, so any prepared query
+// serves both.
+//
+// The rounding is one scalar pass from q' straight into q-bar_u: the min/max
+// scan and the one draw per entry run in index order, so the seed fixes the
+// output. With AVX2 the bit planes come from movemask and each LUT's 16
+// subset sums are built at once; without it, scalar loops build the same
+// bytes. On a reused QuantizedQuery, PrepareQueryFromRotated allocates
+// nothing.
 
 #ifndef RABITQ_CORE_QUERY_H_
 #define RABITQ_CORE_QUERY_H_
@@ -75,8 +85,8 @@ struct QuantizedQuery {
 
   // Workspace for the rotated unit residual q' (B floats), not an output.
   // Lives in the struct so that reusing one QuantizedQuery across probes and
-  // queries (as the serving engine's per-worker scratch does) makes the
-  // Prepare* calls allocation-free once capacity is established.
+  // queries (as the serving engine's per-worker scratch does) makes
+  // PrepareQueryFromRotated allocation-free once capacity is established.
   AlignedVector<float> unit_scratch;
 
   const std::uint64_t* Plane(int j) const {
@@ -115,6 +125,12 @@ Status PrepareQuery(const RabitqEncoder& encoder, const float* query_raw,
 /// ||q||^2 of the (for cosine: pre-normalized) original-space query, since
 /// only the rotated view is in hand here; it feeds QuantizedQuery::q_base
 /// and is ignored under kL2.
+///
+/// Builds every field PrepareQuery does: q-bar_u and its scalars, the Eq. 20
+/// constants, the B_q bit planes and (for B_q <= kMaxFastScanQueryBits) the
+/// nibble LUTs. It overwrites `out` in full and, once `out` has held a query
+/// of the same B and B_q, allocates nothing -- the index calls it once per
+/// probed list (per shard), with one QuantizedQuery reused throughout.
 Status PrepareQueryFromRotated(const RabitqEncoder& encoder,
                                const float* rotated_query,
                                const float* rotated_centroid, float q_dist,

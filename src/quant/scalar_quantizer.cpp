@@ -57,11 +57,13 @@ float ScalarQuantizer8::EstimateSquaredDistance(
 }
 
 Status RandomizedUniformQuantize(const float* vec, std::size_t dim, int bits,
-                                 Rng* rng, RandomizedQuantizedVector* out) {
+                                 Rng* rng, std::uint8_t* codes,
+                                 RandomizedQuantization* out) {
   if (bits < 1 || bits > 8) {
     return Status::InvalidArgument("bits must be in [1, 8]");
   }
-  if (dim == 0 || vec == nullptr || rng == nullptr || out == nullptr) {
+  if (dim == 0 || vec == nullptr || rng == nullptr || codes == nullptr ||
+      out == nullptr) {
     return Status::InvalidArgument("bad arguments");
   }
   const int levels = (1 << bits) - 1;  // 2^B - 1 segments
@@ -71,24 +73,30 @@ Status RandomizedUniformQuantize(const float* vec, std::size_t dim, int bits,
     lo = std::min(lo, vec[i]);
     hi = std::max(hi, vec[i]);
   }
+  const float step = (hi - lo) / static_cast<float>(levels);
   out->lo = lo;
-  out->step = (hi - lo) / static_cast<float>(levels);
-  out->codes.resize(dim);
-  out->sum = 0;
-  if (out->step <= 0.0f) {
+  if (step <= 0.0f) {
     // Constant vector: every value quantizes to level 0 exactly.
     out->step = 0.0f;
-    std::fill(out->codes.begin(), out->codes.end(), std::uint8_t{0});
+    out->sum = 0;
+    std::fill_n(codes, dim, std::uint8_t{0});
     return Status::Ok();
   }
+  // The generator and the sum live in locals: a store through `codes` may
+  // alias *rng or *out, which would force a reload every entry.
+  Rng local_rng = *rng;
+  std::uint32_t sum = 0;
   for (std::size_t i = 0; i < dim; ++i) {
     // Eq. (18): floor((v - vl)/Delta + u), u ~ U[0,1).
-    const float scaled = (vec[i] - lo) / out->step;
-    long level = static_cast<long>(scaled + rng->UniformFloat());
+    const float scaled = (vec[i] - lo) / step;
+    long level = static_cast<long>(scaled + local_rng.UniformFloat());
     level = std::clamp(level, 0l, static_cast<long>(levels));
-    out->codes[i] = static_cast<std::uint8_t>(level);
-    out->sum += static_cast<std::uint32_t>(level);
+    codes[i] = static_cast<std::uint8_t>(level);
+    sum += static_cast<std::uint32_t>(level);
   }
+  *rng = local_rng;
+  out->step = step;
+  out->sum = sum;
   return Status::Ok();
 }
 

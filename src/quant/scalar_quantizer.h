@@ -4,7 +4,8 @@
 //  * RandomizedUniform: the unbiased randomized rounding of paper Eq. (18),
 //    used by the RaBitQ query quantization (Section 3.3.1) and analyzed by
 //    Theorem 3.3. Rounding v = vl + m*delta + t goes up with probability
-//    t/delta, down otherwise, so E[round(v)] = v.
+//    t/delta, down otherwise, so E[round(v)] = v. It writes its codes into
+//    caller memory and allocates nothing.
 
 #ifndef RABITQ_QUANT_SCALAR_QUANTIZER_H_
 #define RABITQ_QUANT_SCALAR_QUANTIZER_H_
@@ -41,18 +42,24 @@ class ScalarQuantizer8 {
   std::vector<float> step_;  // (hi - lo) / 255, 0 for constant dims
 };
 
-/// Result of randomized uniform quantization of one vector.
-struct RandomizedQuantizedVector {
-  float lo = 0.0f;     // v_l
-  float step = 0.0f;   // Delta
-  std::uint32_t sum = 0;  // sum_i code[i]
-  std::vector<std::uint8_t> codes;  // each in [0, 2^bits)
+/// Scalars of one randomized uniform quantization; the codes themselves go
+/// to caller memory.
+struct RandomizedQuantization {
+  float lo = 0.0f;        // v_l
+  float step = 0.0f;      // Delta
+  std::uint32_t sum = 0;  // sum_i codes[i]
 };
 
-/// Quantizes `vec` into `bits`-bit unsigned integers with unbiased randomized
-/// rounding (paper Eq. 18). `bits` must be in [1, 8].
+/// Quantizes `vec` (`dim` floats) into `dim` `bits`-bit unsigned integers,
+/// written to `codes`, with unbiased randomized rounding (paper Eq. 18).
+/// `bits` must be in [1, 8]. v_l = min(vec) and Delta = (max - min) /
+/// (2^bits - 1); entry i becomes clamp(trunc((vec[i] - v_l) / Delta + u_i))
+/// with one rng->UniformFloat() draw u_i per entry, in index order. A
+/// constant vector (Delta <= 0) quantizes to all zeros and draws nothing.
+/// Allocates nothing: `codes` must hold `dim` bytes.
 Status RandomizedUniformQuantize(const float* vec, std::size_t dim, int bits,
-                                 Rng* rng, RandomizedQuantizedVector* out);
+                                 Rng* rng, std::uint8_t* codes,
+                                 RandomizedQuantization* out);
 
 }  // namespace rabitq
 

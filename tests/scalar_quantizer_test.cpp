@@ -79,11 +79,14 @@ TEST_P(RandomizedQuantizeParamTest, CodesStayInRange) {
   Rng rng(bits);
   std::vector<float> v(256);
   for (auto& x : v) x = static_cast<float>(rng.Gaussian());
-  RandomizedQuantizedVector q;
-  ASSERT_TRUE(RandomizedUniformQuantize(v.data(), v.size(), bits, &rng, &q).ok());
+  std::vector<std::uint8_t> codes(v.size());
+  RandomizedQuantization q;
+  ASSERT_TRUE(RandomizedUniformQuantize(v.data(), v.size(), bits, &rng,
+                                        codes.data(), &q)
+                  .ok());
   const int max_level = (1 << bits) - 1;
   std::uint32_t sum = 0;
-  for (const auto code : q.codes) {
+  for (const auto code : codes) {
     EXPECT_LE(code, max_level);
     sum += code;
   }
@@ -95,10 +98,13 @@ TEST_P(RandomizedQuantizeParamTest, ReconstructionErrorBoundedByStep) {
   Rng rng(bits + 100);
   std::vector<float> v(128);
   for (auto& x : v) x = static_cast<float>(rng.Gaussian());
-  RandomizedQuantizedVector q;
-  ASSERT_TRUE(RandomizedUniformQuantize(v.data(), v.size(), bits, &rng, &q).ok());
+  std::vector<std::uint8_t> codes(v.size());
+  RandomizedQuantization q;
+  ASSERT_TRUE(RandomizedUniformQuantize(v.data(), v.size(), bits, &rng,
+                                        codes.data(), &q)
+                  .ok());
   for (std::size_t i = 0; i < v.size(); ++i) {
-    const float recon = q.lo + q.step * static_cast<float>(q.codes[i]);
+    const float recon = q.lo + q.step * static_cast<float>(codes[i]);
     EXPECT_NEAR(recon, v[i], q.step + 1e-6f);
   }
 }
@@ -112,12 +118,14 @@ TEST_P(RandomizedQuantizeParamTest, RoundingIsUnbiased) {
   for (auto& x : v) x = static_cast<float>(rng.Gaussian());
   std::vector<double> mean(v.size(), 0.0);
   const int trials = 4000;
+  std::vector<std::uint8_t> codes(v.size());
   for (int t = 0; t < trials; ++t) {
-    RandomizedQuantizedVector q;
-    ASSERT_TRUE(
-        RandomizedUniformQuantize(v.data(), v.size(), bits, &rng, &q).ok());
+    RandomizedQuantization q;
+    ASSERT_TRUE(RandomizedUniformQuantize(v.data(), v.size(), bits, &rng,
+                                          codes.data(), &q)
+                    .ok());
     for (std::size_t i = 0; i < v.size(); ++i) {
-      mean[i] += q.lo + q.step * static_cast<double>(q.codes[i]);
+      mean[i] += q.lo + q.step * static_cast<double>(codes[i]);
     }
   }
   // Tolerance scales with the step size (smaller for more bits) and the
@@ -136,8 +144,11 @@ INSTANTIATE_TEST_SUITE_P(Bits, RandomizedQuantizeParamTest,
 TEST(RandomizedQuantizeTest, ConstantVectorQuantizesToZeroLevels) {
   std::vector<float> v(32, 3.0f);
   Rng rng(1);
-  RandomizedQuantizedVector q;
-  ASSERT_TRUE(RandomizedUniformQuantize(v.data(), v.size(), 4, &rng, &q).ok());
+  std::vector<std::uint8_t> codes(v.size());
+  RandomizedQuantization q;
+  ASSERT_TRUE(
+      RandomizedUniformQuantize(v.data(), v.size(), 4, &rng, codes.data(), &q)
+          .ok());
   EXPECT_EQ(q.sum, 0u);
   EXPECT_FLOAT_EQ(q.lo, 3.0f);
   EXPECT_FLOAT_EQ(q.step, 0.0f);
@@ -146,11 +157,12 @@ TEST(RandomizedQuantizeTest, ConstantVectorQuantizesToZeroLevels) {
 TEST(RandomizedQuantizeTest, RejectsBadArguments) {
   std::vector<float> v(4, 1.0f);
   Rng rng(1);
-  RandomizedQuantizedVector q;
-  EXPECT_FALSE(RandomizedUniformQuantize(v.data(), 4, 0, &rng, &q).ok());
-  EXPECT_FALSE(RandomizedUniformQuantize(v.data(), 4, 9, &rng, &q).ok());
-  EXPECT_FALSE(RandomizedUniformQuantize(nullptr, 4, 4, &rng, &q).ok());
-  EXPECT_FALSE(RandomizedUniformQuantize(v.data(), 0, 4, &rng, &q).ok());
+  std::uint8_t codes[4];
+  RandomizedQuantization q;
+  EXPECT_FALSE(RandomizedUniformQuantize(v.data(), 4, 0, &rng, codes, &q).ok());
+  EXPECT_FALSE(RandomizedUniformQuantize(v.data(), 4, 9, &rng, codes, &q).ok());
+  EXPECT_FALSE(RandomizedUniformQuantize(nullptr, 4, 4, &rng, codes, &q).ok());
+  EXPECT_FALSE(RandomizedUniformQuantize(v.data(), 0, 4, &rng, codes, &q).ok());
 }
 
 }  // namespace
